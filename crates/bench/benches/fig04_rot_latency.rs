@@ -561,7 +561,7 @@ fn edge_directory_fleet(scale: Scale) -> DirectoryResult {
 }
 
 /// Saturating open-loop throughput run: multiproof-served point
-/// reads replayed through the sharded edge caches.
+/// reads replayed through the edge replay caches.
 struct ThroughputResult {
     ops: u64,
     window_s: f64,
@@ -574,7 +574,6 @@ struct ThroughputResult {
     multis_accepted: u64,
     rot_multi_served: u64,
     multis_from_cache: u64,
-    cache_shards: u64,
     cached_partitions: u64,
 }
 
@@ -583,7 +582,7 @@ struct ThroughputResult {
 /// issuing single-partition multi-key point reads. Every replica
 /// answer with >= `MULTI_MIN_KEYS` keys ships as one deduplicated
 /// Merkle multiproof; edges admit the shared wire image zero-copy into
-/// the sharded replay caches and replay covering bodies locally.
+/// the replay caches and replay covering bodies locally.
 fn edge_throughput(scale: Scale) -> ThroughputResult {
     const KEYS_PER_OP: usize = 6; // >= node::MULTI_MIN_KEYS
     let mut config = experiment_config(scale);
@@ -635,14 +634,11 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
         rot_multi_served += dep.node(r).stats.rot_multi_served;
     }
     let mut multis_from_cache = 0u64;
-    let mut cache_shards = 0u64;
     let mut cached_partitions = 0u64;
     for e in &dep.edge_ids {
         let node = dep.edge_node(*e);
         multis_from_cache += node.stats.multis_from_cache;
-        let shards = node.cache_shards();
-        cache_shards = cache_shards.max(shards.shard_count() as u64);
-        cached_partitions += shards.partition_count() as u64;
+        cached_partitions += node.cached_partitions() as u64;
     }
     assert!(
         multis_accepted > 0,
@@ -661,7 +657,6 @@ fn edge_throughput(scale: Scale) -> ThroughputResult {
         multis_accepted,
         rot_multi_served,
         multis_from_cache,
-        cache_shards,
         cached_partitions,
     }
 }
@@ -1211,10 +1206,12 @@ fn main() {
     // `scenarios` block (chaos campaign trajectories under zero
     // invariant violations); 9 = added the `obs` block (causal-trace
     // per-phase p50/p95 decomposition of the single-contact and
-    // fan-out scatter runs, components summing to end-to-end).
+    // fan-out scatter runs, components summing to end-to-end); 10 =
+    // dropped the throughput block's shard count (edges keep one
+    // unsharded replay cache per partition).
     let mut doc = JsonObject::new()
         .field("figure", "fig04_rot_latency")
-        .field("schema_version", 9u64)
+        .field("schema_version", 10u64)
         .field("mode", if scale.full { "full" } else { "quick" });
     doc.set(
         "clusters",
@@ -1341,7 +1338,6 @@ fn main() {
             .field("multis_accepted", tp.multis_accepted)
             .field("rot_multi_served", tp.rot_multi_served)
             .field("multis_from_cache", tp.multis_from_cache)
-            .field("cache_shards", tp.cache_shards)
             .field("cached_partitions", tp.cached_partitions),
     );
     // `staleness_window_ms` is the subscription tier's freshness bound:

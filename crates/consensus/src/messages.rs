@@ -106,20 +106,34 @@ impl Certificate {
     /// Verify against the public-key directory: at least `quorum`
     /// distinct valid signatures over the accept statement.
     pub fn verify(&self, keys: &KeyStore, quorum: usize) -> Result<()> {
+        self.verify_counting(keys, quorum).1
+    }
+
+    /// [`Certificate::verify`], also returning how many signatures it
+    /// checked: one per distinct signer, or none when a signer is not a
+    /// replica of the cluster (that check fails before any signature).
+    pub fn verify_counting(&self, keys: &KeyStore, quorum: usize) -> (u64, Result<()>) {
         // Signers must be replicas of the right cluster.
         for (node, _) in &self.sigs {
             match node {
                 NodeId::Replica(r) if r.cluster == self.cluster => {}
                 other => {
-                    return Err(TransEdgeError::Verification(format!(
+                    let err = TransEdgeError::Verification(format!(
                         "certificate signer {other} is not a replica of {}",
                         self.cluster
-                    )))
+                    ));
+                    return (0, Err(err));
                 }
             }
         }
+        let mut signers: Vec<NodeId> = self.sigs.iter().map(|(node, _)| *node).collect();
+        signers.sort_unstable();
+        signers.dedup();
         let stmt = accept_statement(self.cluster, self.slot, &self.digest);
-        keys.require_quorum(&stmt, &self.sigs, quorum)
+        (
+            signers.len() as u64,
+            keys.require_quorum(&stmt, &self.sigs, quorum),
+        )
     }
 }
 
@@ -284,6 +298,12 @@ mod tests {
         let mut bad = cert.clone();
         bad.digest = Digest([8; 32]);
         assert!(bad.verify(&keys, 2).is_err());
+        // Each distinct signer is checked once, valid or not.
+        assert_eq!(cert.verify_counting(&keys, 2).0, 2);
+        assert_eq!(bad.verify_counting(&keys, 2).0, 2);
+        let mut repeated = cert.clone();
+        repeated.sigs.push(repeated.sigs[0]);
+        assert_eq!(repeated.verify_counting(&keys, 2).0, 2);
     }
 
     #[test]
@@ -301,6 +321,8 @@ mod tests {
             sigs: vec![(NodeId::Replica(foreign), secrets[&foreign].sign(&stmt))],
         };
         assert!(cert.verify(&keys, 1).is_err());
+        // Rejected on the signer check, before any signature.
+        assert_eq!(cert.verify_counting(&keys, 1).0, 0);
     }
 
     #[test]

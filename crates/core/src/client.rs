@@ -22,11 +22,11 @@ use transedge_common::{
     SimTime, TxnId, Value,
 };
 use transedge_crypto::range::MAX_RANGE_BUCKETS;
-use transedge_crypto::{Digest, KeyStore, Keypair, ScanRange};
+use transedge_crypto::{KeyStore, Keypair, ScanRange};
 use transedge_directory::DirectoryAgent;
 use transedge_edge::{
-    BatchCommitment as _, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery,
-    ReadRejection, ReadResponse, ReadVerifier, SnapshotPolicy, VerifyParams,
+    Accepted, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadRejection,
+    ReadResponse, ReadVerifier, Rejected, SnapshotPolicy, VerifyParams, VerifyReceipt,
 };
 use transedge_obs::{SpanPhase, TraceContext, TraceId};
 use transedge_simnet::{Actor, Context};
@@ -34,7 +34,7 @@ use transedge_simnet::{Actor, Context};
 use crate::batch::{CommittedHeader, ReadOp, Transaction, WriteOp};
 use crate::deps::{verify_dependencies, RotView};
 use crate::edge_select::{EdgeSelector, EdgeSelectorConfig};
-use crate::messages::{NetMsg, ReadPayload};
+use crate::messages::{charge_receipt, NetMsg, ReadPayload};
 use crate::metrics::{ClientMetrics, OpKind, QueryClass, TxnSample};
 
 /// One scripted client operation.
@@ -439,102 +439,6 @@ impl ReadSession {
             }
         }
     }
-}
-
-/// Tally one response's verification work in a single pass: every
-/// *distinct* certificate (keyed by its certified batch digest) costs
-/// one quorum signature check; every read or window bucket costs one
-/// leaf hash. Stitched sections and gather parts carrying a
-/// content-identical commitment — the partial-assembly and courier
-/// paths — share a single certificate check, mirroring
-/// `verify_assembled`'s one-certificate-per-response rule. `saved`
-/// counts the duplicate checks the sharing skipped. A scan's claimed
-/// window is *attacker-controlled* and unvalidated here, so its width
-/// is computed saturating and capped at the protocol maximum — the
-/// verifier rejects anything wider before hashing.
-fn tally_verification(
-    response: &ReadPayload,
-    certs: &mut Vec<Digest>,
-    sig_checks: &mut u64,
-    leaf_hashes: &mut u64,
-    saved: &mut u64,
-) {
-    let mut note_cert = |certs: &mut Vec<Digest>, digest: Digest, sigs: usize| {
-        if certs.contains(&digest) {
-            *saved += sigs as u64;
-        } else {
-            certs.push(digest);
-            *sig_checks += sigs as u64;
-        }
-    };
-    // A freshness feed costs one certificate check per delta (each
-    // batch has its own certificate) plus one hash over its changed
-    // list — charged like any other proof material.
-    if let Some(feed) = response.fresh_feed() {
-        for delta in feed {
-            note_cert(
-                certs,
-                delta.commitment.certified_digest(),
-                delta.cert.sigs.len(),
-            );
-            *leaf_hashes += 1;
-        }
-    }
-    match response {
-        ReadResponse::Point { sections, .. } => {
-            for section in sections {
-                note_cert(
-                    certs,
-                    section.commitment.certified_digest(),
-                    section.cert.sigs.len(),
-                );
-                *leaf_hashes += section.reads.len() as u64;
-            }
-        }
-        ReadResponse::Scan { bundle } => {
-            note_cert(
-                certs,
-                bundle.commitment.certified_digest(),
-                bundle.cert.sigs.len(),
-            );
-            let claimed = &bundle.scan.range;
-            *leaf_hashes += claimed
-                .last
-                .saturating_sub(claimed.first)
-                .saturating_add(1)
-                .min(MAX_RANGE_BUCKETS);
-        }
-        ReadResponse::Multi { bundle, .. } => {
-            note_cert(
-                certs,
-                bundle.commitment.certified_digest(),
-                bundle.cert.sigs.len(),
-            );
-            *leaf_hashes += bundle.body.keys.len() as u64;
-        }
-        ReadResponse::Gather { parts } => {
-            for part in parts {
-                tally_verification(&part.body, certs, sig_checks, leaf_hashes, saved);
-            }
-        }
-    }
-}
-
-/// Charge the simulated CPU of verifying one response (one pass over
-/// all stitched sections — see [`tally_verification`]), returning how
-/// many duplicate certificate checks the commitment sharing skipped.
-fn charge_verification(ctx: &mut Context<'_, NetMsg>, response: &ReadPayload) -> u64 {
-    let mut certs = Vec::new();
-    let (mut sig_checks, mut leaf_hashes, mut saved) = (0u64, 0u64, 0u64);
-    tally_verification(
-        response,
-        &mut certs,
-        &mut sig_checks,
-        &mut leaf_hashes,
-        &mut saved,
-    );
-    ctx.charge(|c| SimDuration(c.ed25519_verify.0 * sig_checks + c.merkle_verify.0 * leaf_hashes));
-    saved
 }
 
 #[allow(clippy::enum_variant_names)]
@@ -1235,7 +1139,6 @@ impl ClientActor {
         response: ReadPayload,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let now = ctx.now();
         session.outstanding.remove(&req);
         session.single_contact = None;
         let contact = pending.target;
@@ -1244,6 +1147,8 @@ impl ClientActor {
         self.metrics.shapes.served(session.class);
         // Verify every part first; apply only if all hold.
         let verifier = self.read_verifier();
+        let verify_at = ctx.now();
+        let mut receipt = VerifyReceipt::default();
         let mut verified: Vec<(ClusterId, ReadQuery, QueryAnswer)> = Vec::new();
         let mut ok = true;
         if let ReadPayload::Gather { parts } = &response {
@@ -1253,9 +1158,13 @@ impl ClientActor {
                     break;
                 };
                 let sub = session.subquery(*cluster).expect("planned part");
-                match verifier.verify_query(&self.keys, *cluster, &sub, &part.body, now) {
-                    Ok(answer) => verified.push((*cluster, sub, answer)),
-                    Err(_) => {
+                match verifier.verify_query(&self.keys, *cluster, &sub, &part.body, verify_at) {
+                    Ok(accepted) => {
+                        receipt += accepted.receipt;
+                        verified.push((*cluster, sub, accepted.answer));
+                    }
+                    Err(rejected) => {
+                        receipt += rejected.receipt;
                         ok = false;
                         break;
                     }
@@ -1266,6 +1175,10 @@ impl ClientActor {
             // multi-partition query.
             ok = false;
         }
+        // Pay for the verification before anything departs.
+        charge_receipt(ctx, &receipt);
+        self.metrics.cert_checks_shared += receipt.sig_checks_reused;
+        let now = ctx.now();
         if !ok {
             self.stats.verification_failures += 1;
             self.stats.gather_fallbacks += 1;
@@ -1366,7 +1279,6 @@ impl ClientActor {
         response: ReadPayload,
         ctx: &mut Context<'_, NetMsg>,
     ) {
-        let now = ctx.now();
         let cluster = pending.cluster;
         let Some(sub) = session.subquery(cluster) else {
             return;
@@ -1382,9 +1294,21 @@ impl ClientActor {
         } else {
             Vec::new()
         };
-        let verified = self
-            .read_verifier()
-            .verify_query_resuming(&self.keys, cluster, &sub, &response, &held, now);
+        let (verified, receipt) = match self.read_verifier().verify_query_resuming(
+            &self.keys,
+            cluster,
+            &sub,
+            &response,
+            &held,
+            ctx.now(),
+        ) {
+            Ok(Accepted { answer, receipt }) => (Ok(answer), receipt),
+            Err(Rejected { rejection, receipt }) => (Err(rejection), receipt),
+        };
+        // Pay for the verification before anything departs.
+        charge_receipt(ctx, &receipt);
+        self.metrics.cert_checks_shared += receipt.sig_checks_reused;
+        let now = ctx.now();
         match verified {
             Ok(answer) => {
                 self.metrics.shapes.verified(session.class);
@@ -1602,10 +1526,9 @@ impl ClientActor {
         let response = result;
         // Responses travel untraced (their transit is the trace's
         // residual wire time), so the client's verification work is
-        // recorded here, bracketing the verify charge below.
+        // recorded here, bracketing the handlers' verify charge.
         let verify_from = ctx.now();
         self.metrics.read_result_bytes += crate::messages::read_payload_size(&response) as u64;
-        self.metrics.cert_checks_shared += charge_verification(ctx, &response);
         if session.single_contact.is_some() {
             self.on_gather_result(&mut session, req, pending, response, ctx);
         } else {

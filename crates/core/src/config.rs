@@ -2,14 +2,14 @@
 //! the scripted clients.
 //!
 //! [`EdgeConfig`] replaces the grown-by-accretion `EdgePlan` setter
-//! chain (`with_byzantine`, `with_directory`, `with_feed`,
-//! `with_cache_shards`, …) with one builder that groups related knobs
-//! into typed sub-configs — [`CacheConfig`] for replay-cache sizing,
+//! chain (`with_byzantine`, `with_directory`, `with_feed`, …) with one
+//! builder that groups related knobs into typed sub-configs —
+//! [`CacheConfig`] for replay-cache sizing,
 //! [`DirectoryPlan`]/[`FeedPlan`] for the gossip and feed subsystems,
 //! [`PersistPlan`] for the durable snapshot plane — and validates the
 //! combination once, at [`EdgeConfigBuilder::build`], instead of
 //! letting an impossible mix (a byzantine override for an edge that
-//! does not exist, a zero-shard cache, hydration without persistence)
+//! does not exist, a zero-capacity cache, hydration without persistence)
 //! surface as a confusing runtime failure deep inside a harness.
 //!
 //! [`ClientProfile`] does the same for the ad-hoc client booleans:
@@ -21,7 +21,7 @@
 use std::fmt;
 
 use transedge_common::{EdgeId, SimDuration};
-use transedge_edge::{PersistPlan, DEFAULT_SHARD_COUNT};
+use transedge_edge::PersistPlan;
 
 use crate::client::ClientConfig;
 use crate::edge_node::{DirectoryPlan, EdgeBehavior, FeedPlan};
@@ -33,10 +33,6 @@ pub struct CacheConfig {
     pub capacity: usize,
     /// Certified headers each edge node retains.
     pub max_batches: usize,
-    /// Cluster-hash shards each edge's per-partition replay caches
-    /// spread over (lock-striping knob; see
-    /// [`transedge_edge::ShardedReplayCache`]).
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
@@ -44,7 +40,6 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: transedge_edge::pipeline::DEFAULT_CACHE_CAPACITY,
             max_batches: 64,
-            shards: DEFAULT_SHARD_COUNT,
         }
     }
 }
@@ -120,8 +115,6 @@ impl EdgeConfig {
 /// What [`EdgeConfigBuilder::build`] refuses.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The replay cache must spread over at least one shard.
-    NoCacheShards,
     /// A deployed edge tier needs a non-zero fragment capacity.
     NoCacheCapacity,
     /// A deployed edge tier needs a non-zero replay-staleness floor.
@@ -142,7 +135,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::NoCacheShards => write!(f, "replay cache needs at least one shard"),
             ConfigError::NoCacheCapacity => {
                 write!(f, "deployed edge tier needs a non-zero cache capacity")
             }
@@ -191,12 +183,6 @@ impl EdgeConfigBuilder {
     /// Replay-cache sizing.
     pub fn cache(mut self, cache: CacheConfig) -> Self {
         self.config.cache = cache;
-        self
-    }
-
-    /// Override only the replay-cache shard count.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config.cache.shards = shards;
         self
     }
 
@@ -260,9 +246,6 @@ impl EdgeConfigBuilder {
     /// Validate and return the configuration.
     pub fn build(self) -> Result<EdgeConfig, ConfigError> {
         let c = &self.config;
-        if c.cache.shards == 0 {
-            return Err(ConfigError::NoCacheShards);
-        }
         if c.per_cluster > 0 {
             if c.cache.capacity == 0 {
                 return Err(ConfigError::NoCacheCapacity);
@@ -376,10 +359,6 @@ mod tests {
     #[test]
     fn builder_validates_combinations() {
         assert!(EdgeConfig::builder().per_cluster(2).build().is_ok());
-        assert_eq!(
-            EdgeConfig::builder().cache_shards(0).build().unwrap_err(),
-            ConfigError::NoCacheShards
-        );
         let byz = EdgeId::new(ClusterId(0), 5);
         assert_eq!(
             EdgeConfig::builder()

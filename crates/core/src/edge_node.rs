@@ -42,7 +42,7 @@
 //! [`transedge_edge::ReadVerifier`] catches each one, after which the
 //! client re-asks a real replica. Tests use them to pin that property.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use transedge_common::{
     BatchNum, ClusterId, ClusterTopology, EdgeId, Epoch, Key, NodeId, ReplicaId, SimDuration,
@@ -51,16 +51,16 @@ use transedge_common::{
 use transedge_crypto::{Digest, KeyStore, Keypair};
 use transedge_directory::{CoverageSummary, DirectoryAgent};
 use transedge_edge::{
-    is_stale_only, readmit, verify_object, Assembly, GatherPart, PersistPlan, QueryShape,
-    ReadQuery, ReadVerifier, ReplayCache, ShardedReplayCache, SnapshotObject, SnapshotStore,
-    VerifyParams,
+    is_stale_only, readmit, verify_object, Assembly, GatherPart, HydrateReject, PersistPlan,
+    QueryShape, ReadQuery, ReadVerifier, ReplayCache, SnapshotObject, SnapshotStore, VerifyParams,
 };
 use transedge_obs::SpanPhase;
 use transedge_simnet::{Actor, Context};
 
 use crate::batch::CommittedHeader;
 use crate::messages::{
-    NetMsg, ReadPayload, RotBundle, RotDelta, RotMultiBundle, RotScanBundle, RotSnapshot,
+    charge_receipt, NetMsg, ReadPayload, RotBundle, RotDelta, RotMultiBundle, RotScanBundle,
+    RotSnapshot,
 };
 
 /// Gossip timer token.
@@ -196,9 +196,6 @@ pub struct EdgeNodeParams {
     pub cache_capacity: usize,
     /// Certified headers retained per cluster cache.
     pub max_cached_batches: usize,
-    /// Cluster-hash shards the per-partition replay caches spread over
-    /// (plumbed from [`crate::config::CacheConfig::shards`]).
-    pub cache_shards: usize,
     /// Cached bundles older than this are not replayed; the request is
     /// forwarded upstream instead, refreshing the cache.
     pub replay_staleness: SimDuration,
@@ -405,11 +402,15 @@ pub struct EdgeReadNode {
     topo: ClusterTopology,
     keys: KeyStore,
     behavior: EdgeBehavior,
-    /// One replay cache per partition, spread over cluster-hash shards
-    /// ([`ShardedReplayCache`]): the home cluster's fills from normal
-    /// traffic, foreign clusters' from couriered gather parts — which
-    /// is what makes a warm single-contact query one LAN hop.
-    caches: ShardedReplayCache<CommittedHeader>,
+    /// One replay cache per partition, created on first touch: the
+    /// home cluster's fills from normal traffic, foreign clusters' from
+    /// couriered gather parts — which is what makes a warm
+    /// single-contact query one LAN hop.
+    caches: BTreeMap<ClusterId, ReplayCache<CommittedHeader>>,
+    /// Fragment capacity of each partition's cache.
+    cache_capacity: usize,
+    /// Certified headers each partition's cache retains.
+    max_cached_batches: usize,
     replay_staleness: SimDuration,
     tree_depth: u32,
     directory_plan: DirectoryPlan,
@@ -461,11 +462,9 @@ impl EdgeReadNode {
             topo,
             keys,
             behavior: params.behavior,
-            caches: ShardedReplayCache::new(
-                params.cache_shards,
-                params.cache_capacity,
-                params.max_cached_batches,
-            ),
+            caches: BTreeMap::new(),
+            cache_capacity: params.cache_capacity,
+            max_cached_batches: params.max_cached_batches,
             replay_staleness: params.replay_staleness,
             tree_depth: params.tree_depth,
             directory_plan: params.directory,
@@ -503,21 +502,24 @@ impl EdgeReadNode {
     }
 
     fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache<CommittedHeader> {
-        self.caches.cache_for(cluster)
+        let (capacity, batches) = (self.cache_capacity, self.max_cached_batches);
+        self.caches
+            .entry(cluster)
+            .or_insert_with(|| ReplayCache::new(capacity, batches))
     }
 
     /// Replay-cache counters of the home partition (admitted / replayed
     /// / passes).
     pub fn cache_stats(&self) -> transedge_edge::replay::ReplayStats {
         self.caches
-            .get(self.me.cluster)
+            .get(&self.me.cluster)
             .map(|c| c.stats)
             .unwrap_or_default()
     }
 
-    /// The sharded replay-cache layout (shard spread diagnostics).
-    pub fn cache_shards(&self) -> &ShardedReplayCache<CommittedHeader> {
-        &self.caches
+    /// Partitions with a live replay cache on this node.
+    pub fn cached_partitions(&self) -> usize {
+        self.caches.len()
     }
 
     /// The durable snapshot store (spill/dedup/prune counters, fault
@@ -1104,43 +1106,13 @@ impl EdgeReadNode {
     }
 
     /// Re-admit one verified object into its partition's replay cache.
-    /// Free of `self` borrows on purpose: callers hold `self.store`
-    /// immutably while admitting.
-    fn admit_object(caches: &mut ShardedReplayCache<CommittedHeader>, object: &RotSnapshot) {
+    fn admit_object(&mut self, object: &RotSnapshot) {
+        let cache = self.cache_for(object.cluster());
         match object {
-            SnapshotObject::Point(bundle) => {
-                caches
-                    .cache_for(bundle.commitment.header.cluster)
-                    .admit(bundle);
-            }
-            SnapshotObject::Scan(bundle) => {
-                caches
-                    .cache_for(bundle.commitment.header.cluster)
-                    .admit_scan(bundle);
-            }
-            SnapshotObject::Multi(bundle) => {
-                caches
-                    .cache_for(bundle.commitment.header.cluster)
-                    .admit_multi(bundle);
-            }
+            SnapshotObject::Point(bundle) => cache.admit(bundle),
+            SnapshotObject::Scan(bundle) => cache.admit_scan(bundle),
+            SnapshotObject::Multi(bundle) => cache.admit_multi(bundle),
         }
-    }
-
-    /// The simulated cost of re-verifying one snapshot object:
-    /// certificate signatures plus one hash pass over the body — the
-    /// same work the client-side verifier models for a network
-    /// response. Hydration pays it per object, which is what makes
-    /// `restart_to_warm_ms` a real number rather than zero.
-    fn verify_charge(&self, object: &RotSnapshot, ctx: &mut Context<'_, NetMsg>) {
-        let sigs = match object {
-            SnapshotObject::Point(b) => b.cert.sigs.len(),
-            SnapshotObject::Scan(b) => b.cert.sigs.len(),
-            SnapshotObject::Multi(b) => b.cert.sigs.len(),
-        };
-        let body = transedge_edge::persist::object_size(object);
-        ctx.charge(|c| {
-            SimDuration(c.ed25519_verify.0 * sigs as u64 + c.sha256_cost(body.max(1)).0)
-        });
     }
 
     /// Warm restart: walk the durable HEAD records and re-admit every
@@ -1151,16 +1123,19 @@ impl EdgeReadNode {
     /// counted as honest aging.
     fn hydrate(&mut self, ctx: &mut Context<'_, NetMsg>) {
         for (cluster, digest) in self.store.hydration_set() {
-            let Some(object) = self.store.get(&digest) else {
+            let Some(object) = self.store.get(&digest).cloned() else {
                 continue;
             };
-            self.verify_charge(object, ctx);
-            match readmit(&self.verifier, &self.keys, &digest, object, ctx.now()) {
-                Ok(()) => {
-                    Self::admit_object(&mut self.caches, object);
+            match readmit(&self.verifier, &self.keys, &digest, &object, ctx.now()) {
+                Ok(receipt) => {
+                    charge_receipt(ctx, &receipt);
+                    self.admit_object(&object);
                     self.stats.hydrate_admitted += 1;
                 }
                 Err(reject) => {
+                    if let HydrateReject::Verification(rejected) = &reject {
+                        charge_receipt(ctx, &rejected.receipt);
+                    }
                     if is_stale_only(&reject) {
                         self.stats.hydrate_stale += 1;
                     } else {
@@ -1192,7 +1167,7 @@ impl EdgeReadNode {
     fn request_sibling_transfer(&mut self, ctx: &mut Context<'_, NetMsg>) {
         let warm = self
             .caches
-            .get(self.me.cluster)
+            .get(&self.me.cluster)
             .is_some_and(|c| c.latest_batch().is_some());
         if warm {
             return;
@@ -1250,12 +1225,16 @@ impl EdgeReadNode {
                 self.stats.sibling_objects_rejected += 1;
                 continue;
             }
-            self.verify_charge(&object, ctx);
-            if verify_object(&self.verifier, &self.keys, &object, ctx.now()).is_err() {
-                self.stats.sibling_objects_rejected += 1;
-                continue;
-            }
-            Self::admit_object(&mut self.caches, &object);
+            let receipt = match verify_object(&self.verifier, &self.keys, &object, ctx.now()) {
+                Ok(receipt) => receipt,
+                Err(rejected) => {
+                    charge_receipt(ctx, &rejected.receipt);
+                    self.stats.sibling_objects_rejected += 1;
+                    continue;
+                }
+            };
+            charge_receipt(ctx, &receipt);
+            self.admit_object(&object);
             self.stats.sibling_objects_admitted += 1;
             if self.persistence.enabled {
                 self.store.spill(object);
@@ -1513,20 +1492,17 @@ impl EdgeReadNode {
     /// One anti-entropy round: refresh the signed self-observation with
     /// current cache coverage and push the digest to one rotating peer.
     fn gossip_round(&mut self, ctx: &mut Context<'_, NetMsg>) {
-        let coverage: Vec<CoverageSummary> = {
-            let mut summaries: Vec<CoverageSummary> = self
-                .caches
-                .iter()
-                .map(|(cluster, cache)| CoverageSummary {
-                    cluster,
-                    newest_batch: cache.latest_batch().map(Epoch::from).unwrap_or(Epoch::NONE),
-                    fragments: cache.fragment_count() as u64,
-                    scan_windows: cache.scan_window_count() as u64,
-                })
-                .collect();
-            summaries.sort_by_key(|s| s.cluster);
-            summaries
-        };
+        // Cluster order, courtesy of the map.
+        let coverage: Vec<CoverageSummary> = self
+            .caches
+            .iter()
+            .map(|(cluster, cache)| CoverageSummary {
+                cluster: *cluster,
+                newest_batch: cache.latest_batch().map(Epoch::from).unwrap_or(Epoch::NONE),
+                fragments: cache.fragment_count() as u64,
+                scan_windows: cache.scan_window_count() as u64,
+            })
+            .collect();
         let Some(agent) = &mut self.directory else {
             return;
         };
@@ -1557,7 +1533,7 @@ impl EdgeReadNode {
     fn subscribe_feed(&mut self, ctx: &mut Context<'_, NetMsg>) {
         let from_batch = self
             .caches
-            .get(self.me.cluster)
+            .get(&self.me.cluster)
             .and_then(|c| c.feed_head())
             .unwrap_or(BatchNum(0));
         // Pin one replica per edge (spread by edge index) so renewal
@@ -1576,21 +1552,19 @@ impl EdgeReadNode {
     /// — the verifier boundary does not move for subscribers.
     fn on_feed_delta(&mut self, delta: RotDelta, ctx: &mut Context<'_, NetMsg>) {
         self.stats.feed_deltas_received += 1;
-        ctx.charge(|c| {
-            SimDuration(
-                c.ed25519_verify.0 * delta.cert.sigs.len() as u64
-                    + c.sha256_cost(32 * delta.changed.len().max(1)).0,
-            )
-        });
-        if self
+        match self
             .verifier
             .verify_delta(&self.keys, self.me.cluster, &delta)
-            .is_err()
         {
-            self.stats.bad_deltas_dropped += 1;
-            return;
+            Ok(receipt) => {
+                charge_receipt(ctx, &receipt);
+                self.cache_for(self.me.cluster).apply_delta(delta);
+            }
+            Err(rejected) => {
+                charge_receipt(ctx, &rejected.receipt);
+                self.stats.bad_deltas_dropped += 1;
+            }
         }
-        self.cache_for(self.me.cluster).apply_delta(delta);
     }
 }
 

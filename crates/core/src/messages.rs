@@ -1,15 +1,15 @@
 //! Every message that crosses the simulated network in a TransEdge
 //! deployment.
 
-use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime, TxnId, Value};
+use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, TxnId, Value};
 use transedge_consensus::{BftMsg, Certificate};
 use transedge_crypto::Signature;
 use transedge_edge::{
     persist::object_size, CertifiedDelta, MultiProofBundle, ProofBundle, ProvenRead, QueryShape,
-    ReadQuery, ReadResponse, ScanBundle, SnapshotObject,
+    ReadQuery, ReadResponse, ScanBundle, SnapshotObject, VerifyReceipt,
 };
 use transedge_obs::TraceContext;
-use transedge_simnet::SimMessage;
+use transedge_simnet::{Context, SimMessage};
 
 use crate::batch::{Batch, BatchHeader, CommittedHeader, Transaction};
 use crate::records::{SignedCommit, SignedPrepared};
@@ -409,6 +409,19 @@ fn scan_bundle_size(bundle: &RotScanBundle) -> usize {
         + 32
         + cert_size(&bundle.cert)
         + bundle.scan.encoded_len()
+}
+
+/// Charge the simulated CPU of one verification from its receipt: one
+/// `ed25519_verify` per signature checked, one `merkle_verify` per leaf
+/// hashed. Every verifying actor (clients, and edges checking feed
+/// deltas or re-admitting stored objects) pays through here, so the
+/// charge is exactly the work the verifier reports.
+pub(crate) fn charge_receipt(ctx: &mut Context<'_, NetMsg>, receipt: &VerifyReceipt) {
+    ctx.charge(|c| {
+        SimDuration(
+            c.ed25519_verify.0 * receipt.sig_checks + c.merkle_verify.0 * receipt.leaf_hashes,
+        )
+    });
 }
 
 /// Structural wire size of a proof-carrying read payload (the

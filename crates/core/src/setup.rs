@@ -100,7 +100,6 @@ fn edge_node_params(config: &DeploymentConfig, id: EdgeId, peers: Vec<EdgeId>) -
         behavior: config.edge.behavior_of(id),
         cache_capacity: config.edge.cache.capacity,
         max_cached_batches: config.edge.cache.max_batches,
-        cache_shards: config.edge.cache.shards,
         replay_staleness: config.edge.replay_staleness,
         tree_depth: config.node.tree_depth,
         freshness_window: config.node.freshness_window,

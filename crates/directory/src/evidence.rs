@@ -316,7 +316,7 @@ impl<H: BatchCommitment + Clone> SignedEvidence<H> {
             // An honest (verifying) response attached as "evidence" is
             // the fabrication this check exists for.
             Ok(_) => None,
-            Err(rejection) if is_cryptographic(&rejection) => Some(rejection),
+            Err(rejected) if is_cryptographic(&rejected.rejection) => Some(rejected.rejection),
             Err(_) => None,
         }
     }

@@ -192,7 +192,8 @@ fn genuine_evidence_is_admitted_and_demotes() {
     let rejection = world
         .verifier()
         .verify_query(&world.keys, ClusterId(0), &query, &response, NOW)
-        .expect_err("tampered bundle must fail verification");
+        .expect_err("tampered bundle must fail verification")
+        .rejection;
     assert!(is_cryptographic(&rejection), "got {rejection:?}");
 
     // The witnessing client signs the evidence…
@@ -349,7 +350,8 @@ fn delta_exchange_converges_in_two_legs_then_goes_quiet() {
     let rejection = world
         .verifier()
         .verify_query(&world.keys, ClusterId(0), &query, &response, NOW)
-        .expect_err("tampered bundle must fail verification");
+        .expect_err("tampered bundle must fail verification")
+        .rejection;
     assert!(a.witness(edge(2), ClusterId(0), &query, &response, &rejection, NOW));
 
     // Leg 1: A pushes its delta (no summary known for B yet → full

@@ -34,9 +34,13 @@
 //!   accepts a response only after proof → root → certificate →
 //!   freshness → snapshot-epoch checks all pass; everything an edge
 //!   node could forge is caught here and reported as a
-//!   [`verifier::ReadRejection`]. Its `verify_query` entry point
-//!   dispatches a [`query::ReadQuery`] to the right proof chain and
-//!   enforces snapshot pins and page tokens on top.
+//!   [`verifier::ReadRejection`]. It has three public entry points:
+//!   `verify_query` (every read response, and every object read back
+//!   from disk), `verify_query_resuming` (scan restarts over a held
+//!   prefix) and `verify_delta` (pushed feed deltas). Each returns a
+//!   [`verifier::VerifyReceipt`] counting the signatures and Merkle
+//!   leaves it actually checked — the only source of simulated
+//!   verification cost.
 //!
 //! Point reads and range scans share the same shape: [`ScanProof`] /
 //! [`ScanBundle`] are the scan analogues of [`ProvenRead`] /
@@ -51,10 +55,7 @@
 //! byte buffer — caching, replaying, or subset-serving a body is a
 //! refcount bump, not a re-serialisation. The serving pipeline
 //! coalesces concurrent reads pinned to the same batch into one body
-//! ([`ReadPipeline::serve_multi`]), and
-//! [`replay::ShardedReplayCache`] spreads an edge's per-partition
-//! replay caches over cluster-hash shards so the hot read path stops
-//! funnelling through one structure.
+//! ([`ReadPipeline::serve_multi`]).
 //!
 //! The crate deliberately does not know about network messages or the
 //! batch format: commitments enter through the [`BatchCommitment`]
@@ -83,11 +84,9 @@ pub use query::{
     GatherPart, PageToken, PrefixResume, QueryAnswer, QueryShape, ReadQuery, ReadResponse,
     SnapshotPolicy,
 };
-pub use replay::{
-    Assembly, ReplayCache, ReplayStats, ShardedReplayCache, DEFAULT_SHARD_COUNT, MAX_FEED_DELTAS,
-};
+pub use replay::{Assembly, ReplayCache, ReplayStats, MAX_FEED_DELTAS};
 pub use response::{
     changed_keys_digest, BatchCommitment, CertifiedDelta, MultiProofBody, MultiProofBundle,
     ProofBundle, ProvenRead, ScanBundle, ScanProof,
 };
-pub use verifier::{ReadRejection, ReadVerifier, VerifyParams};
+pub use verifier::{Accepted, ReadRejection, ReadVerifier, Rejected, VerifyParams, VerifyReceipt};

@@ -33,8 +33,9 @@ use transedge_common::{BatchNum, ClusterId, Key, SimTime};
 use transedge_consensus::Certificate;
 use transedge_crypto::{sha256, Digest, KeyStore, Sha256};
 
+use crate::query::{ReadQuery, ReadResponse};
 use crate::response::{BatchCommitment, MultiProofBundle, ProofBundle, ScanBundle};
-use crate::verifier::{ReadRejection, ReadVerifier};
+use crate::verifier::{ReadRejection, ReadVerifier, Rejected, VerifyReceipt};
 
 use transedge_storage::ObjectArchive;
 
@@ -361,59 +362,72 @@ pub enum HydrateReject {
     /// The object's proof chain no longer verifies (tampered value,
     /// forged certificate, spliced proof — every lie the network
     /// verifier catches, caught again here).
-    Verification(ReadRejection),
+    Verification(Rejected),
 }
 
 /// Re-admit one stored object through the client-grade verifier:
 /// recompute the content address, then run the object's own proof
 /// chain (certificate, freshness, Merkle/completeness proofs) exactly
-/// as if it had just arrived from an untrusted network peer. The LCE
-/// floor is `Epoch::NONE` — a restart has no round-2 context; floors
-/// re-apply per request once the object is back in the cache.
+/// as if it had just arrived from an untrusted network peer. On success
+/// returns the verification's receipt.
 ///
-/// `Err(HydrateReject::Verification(ReadRejection::StaleTimestamp))`
-/// deserves a gentler hand than the other rejections: an object that
-/// merely aged past the freshness window during the outage is honest
-/// history, not evidence of tampering. Callers count it separately.
-pub fn readmit<H: BatchCommitment>(
+/// `Err(HydrateReject::Verification(_))` carrying
+/// [`ReadRejection::StaleTimestamp`] deserves a gentler hand than the
+/// other rejections: an object that merely aged past the freshness
+/// window during the outage is honest history, not evidence of
+/// tampering. Callers count it separately ([`is_stale_only`]).
+pub fn readmit<H: BatchCommitment + Clone>(
     verifier: &ReadVerifier,
     keys: &KeyStore,
     stored_under: &Digest,
     object: &SnapshotObject<H>,
     now: SimTime,
-) -> Result<(), HydrateReject> {
+) -> Result<VerifyReceipt, HydrateReject> {
     if object.content_digest() != *stored_under {
         return Err(HydrateReject::DigestMismatch);
     }
     verify_object(verifier, keys, object, now).map_err(HydrateReject::Verification)
 }
 
-/// Run a snapshot object through its wire-protocol proof chain (no
+/// Run a snapshot object through [`ReadVerifier::verify_query`] as the
+/// response to a latest-snapshot query for exactly what it proves (no
 /// digest check — used both by [`readmit`] and by the sibling
 /// state-transfer receive path, where the object arrived by network
-/// and has no stored address yet).
-pub fn verify_object<H: BatchCommitment>(
+/// and has no stored address yet). The LCE floor is `Epoch::NONE` — a
+/// restart has no round-2 context; floors re-apply per request once
+/// the object is back in the cache.
+pub fn verify_object<H: BatchCommitment + Clone>(
     verifier: &ReadVerifier,
     keys: &KeyStore,
     object: &SnapshotObject<H>,
     now: SimTime,
-) -> Result<(), ReadRejection> {
+) -> Result<VerifyReceipt, Rejected> {
     let cluster = object.cluster();
-    let none = transedge_common::Epoch::NONE;
-    match object {
-        SnapshotObject::Point(bundle) => {
-            let expected: Vec<Key> = bundle.reads.iter().map(|r| r.key.clone()).collect();
-            verifier
-                .verify_bundle(keys, cluster, bundle, &expected, none, now)
-                .map(|_| ())
-        }
-        SnapshotObject::Scan(bundle) => verifier
-            .verify_scan(keys, cluster, bundle, &bundle.scan.range, none, now)
-            .map(|_| ()),
-        SnapshotObject::Multi(bundle) => verifier
-            .verify_multi(keys, cluster, bundle, &bundle.body.keys, none, now)
-            .map(|_| ()),
-    }
+    let (query, response) = match object {
+        SnapshotObject::Point(bundle) => (
+            ReadQuery::point(bundle.reads.iter().map(|r| r.key.clone()).collect()),
+            ReadResponse::Point {
+                sections: vec![bundle.clone()],
+                fresh: None,
+            },
+        ),
+        SnapshotObject::Scan(bundle) => (
+            ReadQuery::scan(cluster, bundle.scan.range),
+            ReadResponse::Scan {
+                bundle: Box::new(bundle.clone()),
+            },
+        ),
+        SnapshotObject::Multi(bundle) => (
+            ReadQuery::point(bundle.body.keys.clone()),
+            ReadResponse::Multi {
+                bundle: Box::new(bundle.clone()),
+                fresh: None,
+            },
+        ),
+    };
+    verifier
+        .verify_query(keys, cluster, &query, &response, now)
+        .map(|accepted| accepted.receipt)
 }
 
 /// Is this rejection mere staleness (honest aging during the outage)
@@ -421,7 +435,10 @@ pub fn verify_object<H: BatchCommitment>(
 pub fn is_stale_only(reject: &HydrateReject) -> bool {
     matches!(
         reject,
-        HydrateReject::Verification(ReadRejection::StaleTimestamp)
+        HydrateReject::Verification(Rejected {
+            rejection: ReadRejection::StaleTimestamp,
+            ..
+        })
     )
 }
 

@@ -10,9 +10,9 @@
 //! This is WedgeChain's lazy-trust pattern applied to TransEdge's ROT
 //! protocol.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimTime};
+use transedge_common::{BatchNum, Epoch, Key, SimTime};
 use transedge_consensus::Certificate;
 use transedge_crypto::ScanRange;
 
@@ -113,31 +113,6 @@ impl transedge_obs::RegisterMetrics for ReplayStats {
         reg.counter(scope, "replay.freshness_attached", self.freshness_attached);
         reg.counter(scope, "replay.freshness_refused", self.freshness_refused);
         reg.counter(scope, "replay.evicted_entries", self.evicted_entries);
-    }
-}
-
-impl ReplayStats {
-    /// Sum `other` into `self` (shard aggregation).
-    pub fn absorb(&mut self, other: &ReplayStats) {
-        self.admitted += other.admitted;
-        self.replayed += other.replayed;
-        self.passes += other.passes;
-        self.partial += other.partial;
-        self.fragments_replayed += other.fragments_replayed;
-        self.scans_admitted += other.scans_admitted;
-        self.scans_replayed += other.scans_replayed;
-        self.scans_covered_by_wider += other.scans_covered_by_wider;
-        self.scan_passes += other.scan_passes;
-        self.multis_admitted += other.multis_admitted;
-        self.multis_replayed += other.multis_replayed;
-        self.multis_covered_by_superset += other.multis_covered_by_superset;
-        self.multi_passes += other.multi_passes;
-        self.deltas_applied += other.deltas_applied;
-        self.feed_resets += other.feed_resets;
-        self.fragments_invalidated += other.fragments_invalidated;
-        self.freshness_attached += other.freshness_attached;
-        self.freshness_refused += other.freshness_refused;
-        self.evicted_entries += other.evicted_entries;
     }
 }
 
@@ -541,44 +516,12 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
         Some(tail)
     }
 
-    /// Try to answer `keys` wholly from cache: the newest admitted
-    /// batch whose LCE is at least `min_lce` and whose batch timestamp
-    /// is at least `min_timestamp`, with a cached fragment for every
-    /// requested key. Returns `None` (a "pass" — the caller forwards
-    /// upstream, refreshing the cache) otherwise.
-    ///
-    /// The timestamp floor is what keeps an honest edge from wedging:
-    /// without it, a hot key set would be replayed from the same aging
-    /// batch forever, and once that batch fell out of the client's
-    /// freshness window every reply would be rejected — while the cache
-    /// never refreshed, because every request kept hitting. Pass
-    /// [`SimTime::ZERO`] to disable the floor.
-    ///
-    /// This is the whole-bundle-only convenience over the same
-    /// floor/coverage scan [`ReplayCache::assemble`] runs; serving
-    /// nodes use `assemble`, which also handles partial coverage.
-    pub fn replay(
-        &mut self,
-        keys: &[Key],
-        min_lce: Epoch,
-        min_timestamp: SimTime,
-    ) -> Option<ProofBundle<H>> {
-        for batch in self.passing_batches(min_lce, min_timestamp) {
-            if self.coverage_at(batch, keys) != keys.len() {
-                continue;
-            }
-            self.stats.replayed += 1;
-            return Some(self.bundle_at(batch, keys));
-        }
-        self.stats.passes += 1;
-        None
-    }
-
-    /// Serve as much of `keys` as the cache allows under the same
-    /// floors as [`ReplayCache::replay`]:
+    /// Serve as much of `keys` as the cache allows, considering only
+    /// admitted batches whose LCE is at least `min_lce` and whose batch
+    /// timestamp is at least `min_timestamp`:
     ///
     /// * a batch covering *every* key → [`Assembly::Full`] (the newest
-    ///   such batch wins, exactly like `replay`);
+    ///   such batch wins — the classic replay);
     /// * otherwise the batch covering the *most* keys (newest wins
     ///   ties) becomes the anchor → [`Assembly::Partial`] with the
     ///   covered fragments and the keys the caller must fetch upstream
@@ -591,6 +534,13 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// count: only the stale/missing keys are re-fetched, not the whole
     /// bundle. Round-2 fetches (`min_lce` set) are likewise satisfied
     /// from *newer* admitted batches whenever one covers the keys.
+    ///
+    /// The timestamp floor is what keeps an honest edge from wedging:
+    /// without it, a hot key set would be replayed from the same aging
+    /// batch forever, and once that batch fell out of the client's
+    /// freshness window every reply would be rejected — while the cache
+    /// never refreshed, because every request kept hitting. Pass
+    /// [`SimTime::ZERO`] to disable the floor.
     pub fn assemble(
         &mut self,
         keys: &[Key],
@@ -685,160 +635,5 @@ impl<H: BatchCommitment + Clone> ReplayCache<H> {
     /// commitments are retained).
     pub fn fragment_count(&self) -> usize {
         self.reads.len()
-    }
-}
-
-/// Shards an edge's per-partition replay caches by cluster hash.
-///
-/// An edge node fronting many partitions used to keep one flat
-/// partition → cache map; every request touched the same structure. In
-/// a real deployment that map is a lock, and the read path a contended
-/// hot path — so the caches are split into [`ShardedReplayCache::shard_count`]
-/// independent shards, a partition's cache living in the shard its
-/// cluster id hashes to. Requests for different shards never touch the
-/// same state; within a shard, partitions still get fully separate
-/// [`ReplayCache`]s (batch numbers are per-partition — sharing one
-/// cache across partitions would collide their batch spaces).
-#[derive(Clone, Debug)]
-pub struct ShardedReplayCache<H> {
-    shards: Vec<HashMap<ClusterId, ReplayCache<H>>>,
-    read_capacity: usize,
-    max_batches: usize,
-}
-
-/// Default shard count: a power of two comfortably above the simulated
-/// partition counts, so partitions spread evenly.
-pub const DEFAULT_SHARD_COUNT: usize = 8;
-
-impl<H: BatchCommitment + Clone> ShardedReplayCache<H> {
-    /// `shards` independent shards; each partition's cache is created
-    /// on first touch with `read_capacity` fragments over
-    /// `max_batches` batches.
-    pub fn new(shards: usize, read_capacity: usize, max_batches: usize) -> Self {
-        ShardedReplayCache {
-            shards: (0..shards.max(1)).map(|_| HashMap::new()).collect(),
-            read_capacity,
-            max_batches,
-        }
-    }
-
-    /// Which shard `cluster` lives in (Fibonacci hashing of the id —
-    /// consecutive cluster ids land in different shards).
-    pub fn shard_of(&self, cluster: ClusterId) -> usize {
-        let h = (cluster.as_usize() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % self.shards.len()
-    }
-
-    /// The partition's cache, created on first touch.
-    pub fn cache_for(&mut self, cluster: ClusterId) -> &mut ReplayCache<H> {
-        let shard = self.shard_of(cluster);
-        let (capacity, batches) = (self.read_capacity, self.max_batches);
-        self.shards[shard]
-            .entry(cluster)
-            .or_insert_with(|| ReplayCache::new(capacity, batches))
-    }
-
-    /// The partition's cache, if it has ever been touched.
-    pub fn get(&self, cluster: ClusterId) -> Option<&ReplayCache<H>> {
-        self.shards[self.shard_of(cluster)].get(&cluster)
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Partitions with a live cache.
-    pub fn partition_count(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Partition caches per shard (diagnostics: how even the spread is).
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
-    }
-
-    /// Every live partition cache, in unspecified order (coverage
-    /// summaries sort on their own).
-    pub fn iter(&self) -> impl Iterator<Item = (ClusterId, &ReplayCache<H>)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.iter().map(|(c, cache)| (*c, cache)))
-    }
-
-    /// Replay counters aggregated across every shard.
-    pub fn stats(&self) -> ReplayStats {
-        let mut total = ReplayStats::default();
-        for shard in &self.shards {
-            for cache in shard.values() {
-                total.absorb(&cache.stats);
-            }
-        }
-        total
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Clone, Debug)]
-    struct Header;
-
-    impl BatchCommitment for Header {
-        fn cluster(&self) -> ClusterId {
-            ClusterId(0)
-        }
-        fn batch(&self) -> BatchNum {
-            BatchNum(0)
-        }
-        fn merkle_root(&self) -> &transedge_crypto::Digest {
-            unreachable!("sharding tests never verify")
-        }
-        fn lce(&self) -> Epoch {
-            Epoch::NONE
-        }
-        fn timestamp(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn certified_digest(&self) -> transedge_crypto::Digest {
-            unreachable!("sharding tests never verify")
-        }
-    }
-
-    #[test]
-    fn shards_spread_partitions_and_isolate_caches() {
-        let mut sharded: ShardedReplayCache<Header> = ShardedReplayCache::new(8, 64, 4);
-        for c in 0..16u16 {
-            sharded.cache_for(ClusterId(c));
-        }
-        assert_eq!(sharded.partition_count(), 16);
-        // Fibonacci hashing spreads 16 consecutive ids over all 8
-        // shards, none empty and none hoarding.
-        let loads = sharded.shard_loads();
-        assert_eq!(loads.iter().sum::<usize>(), 16);
-        assert!(loads.iter().all(|&l| l > 0), "no empty shard: {loads:?}");
-        assert!(loads.iter().all(|&l| l <= 4), "no hot shard: {loads:?}");
-        // Same cluster → same shard and the same cache on every touch.
-        assert_eq!(
-            sharded.shard_of(ClusterId(3)),
-            sharded.shard_of(ClusterId(3))
-        );
-        sharded.cache_for(ClusterId(3)).stats.passes += 1;
-        assert_eq!(sharded.get(ClusterId(3)).unwrap().stats.passes, 1);
-        assert_eq!(sharded.get(ClusterId(4)).unwrap().stats.passes, 0);
-        assert_eq!(sharded.stats().passes, 1);
-    }
-
-    #[test]
-    fn sharded_stats_aggregate_all_partitions() {
-        let mut sharded: ShardedReplayCache<Header> = ShardedReplayCache::new(4, 64, 4);
-        for c in 0..6u16 {
-            let cache = sharded.cache_for(ClusterId(c));
-            cache.stats.replayed += u64::from(c);
-            cache.stats.multis_replayed += 1;
-        }
-        let total = sharded.stats();
-        assert_eq!(total.replayed, (0..6).sum::<u64>());
-        assert_eq!(total.multis_replayed, 6);
     }
 }

@@ -20,13 +20,20 @@
 //! Anything else is a [`ReadRejection`], which callers count as
 //! evidence of a byzantine server and answer by re-asking a different
 //! node.
+//!
+//! Every check reports what it did in a [`VerifyReceipt`] (signatures
+//! checked, signatures reused, Merkle leaves hashed), on acceptance and
+//! on rejection alike. Callers charge simulated verification cost from
+//! the receipt alone, so the cost model can never drift from the work.
 
 use std::collections::HashMap;
 
 use transedge_common::{BatchNum, ClusterId, Epoch, Key, SimDuration, SimTime, Value};
 use transedge_consensus::Certificate;
-use transedge_crypto::merkle::{value_digest, verify_proof, Verified};
-use transedge_crypto::{sha256, verify_multi_proof, verify_range_proof, KeyStore, ScanRange};
+use transedge_crypto::merkle::{value_digest, verify_proof, BucketEntry, Verified};
+use transedge_crypto::{
+    sha256, verify_multi_proof, verify_range_proof, Digest, KeyStore, ScanRange,
+};
 
 use crate::query::{PageToken, QueryAnswer, QueryShape, ReadQuery, ReadResponse};
 use crate::response::{
@@ -147,7 +154,56 @@ pub enum ReadRejection {
     FeedSpliced { expected: BatchNum, got: BatchNum },
 }
 
+/// The work one verification did, counted by the checks themselves as
+/// they run — on acceptance and on rejection alike, so a rejected
+/// response reports exactly the work spent before the failing check.
+/// Callers charge simulated CPU from it; nothing else re-describes the
+/// verifier's work.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerifyReceipt {
+    /// Certificate signatures checked (each distinct signer once).
+    pub sig_checks: u64,
+    /// Signatures *not* re-checked because an earlier section of the
+    /// same response carried a content-identical commitment (the
+    /// partial-assembly fast path).
+    pub sig_checks_reused: u64,
+    /// Merkle leaves authenticated against a certified root: one per
+    /// point-proof key, per multiproof key, per bucket of a proven scan
+    /// window, and one per delta's changed-set digest.
+    pub leaf_hashes: u64,
+}
+
+impl std::ops::AddAssign for VerifyReceipt {
+    fn add_assign(&mut self, other: VerifyReceipt) {
+        self.sig_checks += other.sig_checks;
+        self.sig_checks_reused += other.sig_checks_reused;
+        self.leaf_hashes += other.leaf_hashes;
+    }
+}
+
+/// A response that passed [`ReadVerifier::verify_query`], with the
+/// work the verification did.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Accepted {
+    pub answer: QueryAnswer,
+    pub receipt: VerifyReceipt,
+}
+
+/// A response (or delta) that failed verification, with the work spent
+/// before the failing check.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rejected {
+    pub rejection: ReadRejection,
+    pub receipt: VerifyReceipt,
+}
+
 /// The verifier. Stateless; cheap to copy into clients.
+///
+/// Three public entry points: [`ReadVerifier::verify_query`] for every
+/// read response (network replies and objects read back from disk
+/// alike), [`ReadVerifier::verify_query_resuming`] for scan restarts
+/// over a held prefix, and [`ReadVerifier::verify_delta`] for pushed
+/// feed deltas. Every one reports a [`VerifyReceipt`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReadVerifier {
     pub params: VerifyParams,
@@ -158,26 +214,232 @@ impl ReadVerifier {
         ReadVerifier { params }
     }
 
-    /// Verify a full response for `expected_cluster`, requiring
-    /// `min_lce` (use [`Epoch::NONE`] for round-one reads with no
-    /// dependency floor). On success returns the verified
-    /// `(key, value)` pairs in `expected_keys` order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn verify<H: BatchCommitment>(
+    /// The single verifier entry point of the unified read protocol:
+    /// check a [`ReadResponse`] against the [`ReadQuery`] (one
+    /// per-partition sub-query) it answers, dispatching to the
+    /// point/assembled/multiproof/scan proof chains and enforcing the
+    /// query's snapshot policy and page pin on top:
+    ///
+    /// * shape: the payload must match the query's shape
+    ///   ([`ReadRejection::ShapeMismatch`]);
+    /// * page token: the resume bound must lie inside the query's range
+    ///   past its first window ([`ReadRejection::PageOutOfRange`] — a
+    ///   tampered or replayed token), and the response must be served
+    ///   at exactly the token's batch
+    ///   ([`ReadRejection::SnapshotPinMismatch`] — the page-splice
+    ///   attack);
+    /// * policy: [`crate::SnapshotPolicy::AtBatch`] pins the batch the
+    ///   same way; [`crate::SnapshotPolicy::MinEpoch`] becomes the LCE
+    ///   floor of the underlying chain (scans included — the round-two
+    ///   semantics point reads always had);
+    /// * freshness feed: an attached feed must be a contiguous chain of
+    ///   certified deltas from the served batch that touches no queried
+    ///   key, with a fresh head.
+    ///
+    /// On success returns the verified [`QueryAnswer`]; for scans it
+    /// includes the [`PageToken`] for the next page, pinned to the
+    /// batch this page verified at.
+    pub fn verify_query<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
-        commitment: &H,
-        cert: &Certificate,
-        expected_keys: &[Key],
-        reads: &[ProvenRead],
-        min_lce: Epoch,
+        query: &ReadQuery,
+        response: &ReadResponse<H>,
         now: SimTime,
-    ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        // 1–4. Commitment chained to a certificate, fresh, above floor.
-        self.check_commitment(keys, expected_cluster, commitment, cert, min_lce, now)?;
-        // 5. Every requested key answered with a verifying proof.
-        self.verify_reads(commitment, expected_keys, reads)
+    ) -> Result<Accepted, Rejected> {
+        self.verify_query_resuming(keys, expected_cluster, query, response, &[], now)
+    }
+
+    /// [`ReadVerifier::verify_query`] for callers holding a verified
+    /// prefix: when the query carries a [`crate::PrefixResume`],
+    /// `held_prefix` must be the rows (in tree order) the caller
+    /// verified for buckets `[range.first, through]` at the *old*
+    /// snapshot. The response's completeness proof covers the whole
+    /// prefix-plus-page window at the new snapshot, but carries rows
+    /// only past the prefix; the held rows are matched against the
+    /// prefix's proof entries instead. Matching carries the prefix over
+    /// to the new snapshot; divergence (the data changed between
+    /// batches — honest behaviour) is
+    /// [`ReadRejection::PrefixDiverged`]; anything else is the usual
+    /// byzantine evidence. On success returns only the *fresh* rows —
+    /// the caller already holds the prefix.
+    pub fn verify_query_resuming<H: BatchCommitment>(
+        &self,
+        keys: &KeyStore,
+        expected_cluster: ClusterId,
+        query: &ReadQuery,
+        response: &ReadResponse<H>,
+        held_prefix: &[(Key, Value)],
+        now: SimTime,
+    ) -> Result<Accepted, Rejected> {
+        let mut receipt = VerifyReceipt::default();
+        match self.check_query(
+            keys,
+            expected_cluster,
+            query,
+            response,
+            held_prefix,
+            now,
+            &mut receipt,
+        ) {
+            Ok(answer) => Ok(Accepted { answer, receipt }),
+            Err(rejection) => Err(Rejected { rejection, receipt }),
+        }
+    }
+
+    /// Verify one [`CertifiedDelta`]: the commitment names the expected
+    /// partition, the `f+1` certificate covers its recomputed digest,
+    /// and the carried changed-key set is canonical (sorted, unique)
+    /// and hashes to the commitment's certified
+    /// [`BatchCommitment::delta_digest`]. Deliberately *no* freshness
+    /// check — a delta is a historical fact, and time-dependent checks
+    /// belong to the feed head of a response so they can never mask a
+    /// cryptographic rejection.
+    pub fn verify_delta<H: BatchCommitment>(
+        &self,
+        keys: &KeyStore,
+        expected_cluster: ClusterId,
+        delta: &CertifiedDelta<H>,
+    ) -> Result<VerifyReceipt, Rejected> {
+        let mut receipt = VerifyReceipt::default();
+        match self.check_delta(keys, expected_cluster, delta, &mut receipt) {
+            Ok(()) => Ok(receipt),
+            Err(rejection) => Err(Rejected { rejection, receipt }),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn check_query<H: BatchCommitment>(
+        &self,
+        keys: &KeyStore,
+        expected_cluster: ClusterId,
+        query: &ReadQuery,
+        response: &ReadResponse<H>,
+        held_prefix: &[(Key, Value)],
+        now: SimTime,
+        receipt: &mut VerifyReceipt,
+    ) -> Result<QueryAnswer, ReadRejection> {
+        let min_lce = query.min_lce();
+        match (&query.shape, response) {
+            (QueryShape::Point { keys: expected }, ReadResponse::Point { sections, fresh }) => {
+                let Some(first) = sections.first() else {
+                    return Err(ReadRejection::EmptyAssembly);
+                };
+                let check_now = self.check_feed(
+                    keys,
+                    expected_cluster,
+                    &first.commitment,
+                    expected,
+                    fresh.as_deref(),
+                    now,
+                    receipt,
+                )?;
+                let values = self.verify_assembled(
+                    keys,
+                    expected_cluster,
+                    sections,
+                    expected,
+                    min_lce,
+                    check_now,
+                    receipt,
+                )?;
+                check_pin(query, first.batch())?;
+                Ok(QueryAnswer::Values(values))
+            }
+            (QueryShape::Point { keys: expected }, ReadResponse::Multi { bundle, fresh }) => {
+                let check_now = self.check_feed(
+                    keys,
+                    expected_cluster,
+                    &bundle.commitment,
+                    expected,
+                    fresh.as_deref(),
+                    now,
+                    receipt,
+                )?;
+                let values = self.verify_multi(
+                    keys,
+                    expected_cluster,
+                    bundle,
+                    expected,
+                    min_lce,
+                    check_now,
+                    receipt,
+                )?;
+                check_pin(query, bundle.batch())?;
+                Ok(QueryAnswer::Values(values))
+            }
+            (QueryShape::Scan { range, .. }, ReadResponse::Scan { bundle }) => {
+                if let Some(through) = query.fresh_rows_from() {
+                    return self.verify_prefix_resume(
+                        keys,
+                        expected_cluster,
+                        query,
+                        bundle,
+                        *range,
+                        through,
+                        held_prefix,
+                        now,
+                        receipt,
+                    );
+                }
+                if let Some(PageToken { resume, .. }) = query.page {
+                    // The first page starts at `range.first` with no
+                    // token, so a legitimate token always resumes
+                    // strictly inside the range: anything at or before
+                    // the start is a token moved backwards (replaying
+                    // already-scanned buckets), anything past the end a
+                    // fabricated continuation.
+                    if resume <= range.first || resume > range.last {
+                        return Err(ReadRejection::PageOutOfRange {
+                            resume,
+                            range: *range,
+                        });
+                    }
+                }
+                let Some(window) = query.scan_window() else {
+                    return Err(ReadRejection::PageOutOfRange {
+                        resume: query.page.as_ref().map_or(range.first, |t| t.resume),
+                        range: *range,
+                    });
+                };
+                check_pin(query, bundle.batch())?;
+                let rows = self.verify_scan(
+                    keys,
+                    expected_cluster,
+                    bundle,
+                    &window,
+                    min_lce,
+                    now,
+                    receipt,
+                )?;
+                Ok(QueryAnswer::Rows {
+                    rows,
+                    next: next_page(*range, window, bundle.batch()),
+                })
+            }
+            _ => Err(ReadRejection::ShapeMismatch),
+        }
+    }
+
+    /// Step 2 of every chain: `cert` names the expected partition and
+    /// `slot`, covers `digest`, and carries `f+1` valid replica
+    /// signatures. Signatures are checked (and counted) only once the
+    /// cheap fields match.
+    fn check_cert(
+        &self,
+        keys: &KeyStore,
+        expected_cluster: ClusterId,
+        slot: BatchNum,
+        digest: Digest,
+        cert: &Certificate,
+        receipt: &mut VerifyReceipt,
+    ) -> Result<(), ReadRejection> {
+        if cert.cluster != expected_cluster || cert.slot != slot || cert.digest != digest {
+            return Err(ReadRejection::BadCertificate);
+        }
+        let (checked, verdict) = cert.verify_counting(keys, self.params.quorum);
+        receipt.sig_checks += checked;
+        verdict.map_err(|_| ReadRejection::BadCertificate)
     }
 
     /// Steps 1–4 of every proof chain: the commitment names the
@@ -185,6 +447,7 @@ impl ReadVerifier {
     /// certificate, its timestamp is inside the freshness window (both
     /// skew directions), and its LCE reaches the dependency floor.
     /// Shared by the point, multiproof, and scan chains.
+    #[allow(clippy::too_many_arguments)]
     fn check_commitment<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
@@ -193,6 +456,7 @@ impl ReadVerifier {
         cert: &Certificate,
         min_lce: Epoch,
         now: SimTime,
+        receipt: &mut VerifyReceipt,
     ) -> Result<(), ReadRejection> {
         // 1. Right partition.
         if commitment.cluster() != expected_cluster {
@@ -202,20 +466,16 @@ impl ReadVerifier {
             });
         }
         // 2. Certificate chains the commitment to f+1 replicas.
-        let digest = commitment.certified_digest();
-        if cert.cluster != expected_cluster
-            || cert.slot != commitment.batch()
-            || cert.digest != digest
-            || cert.verify(keys, self.params.quorum).is_err()
-        {
-            return Err(ReadRejection::BadCertificate);
-        }
+        self.check_cert(
+            keys,
+            expected_cluster,
+            commitment.batch(),
+            commitment.certified_digest(),
+            cert,
+            receipt,
+        )?;
         // 3. Freshness, in either direction of clock skew.
-        let ts = commitment.timestamp();
-        let skew = now.saturating_since(ts).max(ts.saturating_since(now));
-        if skew > self.params.freshness_window {
-            return Err(ReadRejection::StaleTimestamp);
-        }
+        self.check_freshness(commitment.timestamp(), now)?;
         // 4. Dependency floor (round two).
         if commitment.lce() < min_lce {
             return Err(ReadRejection::StaleSnapshot {
@@ -226,19 +486,22 @@ impl ReadVerifier {
         Ok(())
     }
 
-    /// Verify one [`CertifiedDelta`]: the commitment names the expected
-    /// partition, the `f+1` certificate covers its recomputed digest,
-    /// and the carried changed-key set is canonical (sorted, unique)
-    /// and hashes to the commitment's certified
-    /// [`BatchCommitment::delta_digest`]. Deliberately *no* freshness
-    /// check — a delta is a historical fact, and time-dependent checks
-    /// belong to the feed head (see [`ReadVerifier::verify_feed`]) so
-    /// they can never mask a cryptographic rejection.
-    pub fn verify_delta<H: BatchCommitment>(
+    /// The freshness window, in either direction of clock skew.
+    fn check_freshness(&self, ts: SimTime, now: SimTime) -> Result<(), ReadRejection> {
+        let skew = now.saturating_since(ts).max(ts.saturating_since(now));
+        if skew > self.params.freshness_window {
+            return Err(ReadRejection::StaleTimestamp);
+        }
+        Ok(())
+    }
+
+    /// See [`ReadVerifier::verify_delta`].
+    fn check_delta<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
         delta: &CertifiedDelta<H>,
+        receipt: &mut VerifyReceipt,
     ) -> Result<(), ReadRejection> {
         if delta.commitment.cluster() != expected_cluster {
             return Err(ReadRejection::WrongCluster {
@@ -246,32 +509,35 @@ impl ReadVerifier {
                 got: delta.commitment.cluster(),
             });
         }
-        let digest = delta.commitment.certified_digest();
-        if delta.cert.cluster != expected_cluster
-            || delta.cert.slot != delta.commitment.batch()
-            || delta.cert.digest != digest
-            || delta.cert.verify(keys, self.params.quorum).is_err()
-        {
-            return Err(ReadRejection::BadCertificate);
-        }
+        self.check_cert(
+            keys,
+            expected_cluster,
+            delta.commitment.batch(),
+            delta.commitment.certified_digest(),
+            &delta.cert,
+            receipt,
+        )?;
         // The changed set must be canonical and recompute to the digest
         // consensus signed: a relaying edge cannot add, drop, or
         // reorder one key without landing here.
-        if !delta.changed.windows(2).all(|w| w[0] < w[1])
-            || changed_keys_digest(&delta.changed) != delta.commitment.delta_digest()
-        {
+        if !delta.changed.windows(2).all(|w| w[0] < w[1]) {
+            return Err(ReadRejection::BadDelta);
+        }
+        receipt.leaf_hashes += 1;
+        if changed_keys_digest(&delta.changed) != delta.commitment.delta_digest() {
             return Err(ReadRejection::BadDelta);
         }
         Ok(())
     }
 
-    /// Verify a freshness feed attached to a point/multi response: a
-    /// contiguous chain of certified deltas from the served batch to
-    /// the claimed feed head, none of which touches a queried key. A
-    /// verified feed proves the served values are the values at the
-    /// head — the subscription-tier claim that lets a warm client skip
-    /// the round-2 `MinEpoch` fetch. Checks, in order (cryptographic
-    /// before time-dependent, so staleness can never mask a lie):
+    /// Verify the freshness feed (if any) attached to a point/multi
+    /// response served at `served`: a contiguous chain of certified
+    /// deltas from the served batch to the claimed feed head, none of
+    /// which touches a queried key. A verified feed proves the served
+    /// values are the values at the head — the subscription-tier claim
+    /// that lets a warm client skip the round-2 `MinEpoch` fetch.
+    /// Checks, in order (cryptographic before time-dependent, so
+    /// staleness can never mask a lie):
     ///
     /// 1. contiguity: `feed[0]` is `served + 1` and each delta advances
     ///    by exactly one batch ([`ReadRejection::FeedSpliced`] — a gap
@@ -283,51 +549,47 @@ impl ReadVerifier {
     ///    served values are *not* current, contradicting the claim);
     /// 4. the head's timestamp (the served commitment's own, for an
     ///    empty feed) is inside the freshness window
-    ///    ([`ReadRejection::StaleTimestamp`] — checked by the caller,
-    ///    which holds the served commitment).
+    ///    ([`ReadRejection::StaleTimestamp`]).
     ///
-    /// Returns the head batch the caller may upgrade its view to.
-    pub fn verify_feed<H: BatchCommitment>(
+    /// Returns the clock the served commitment's own chain is checked
+    /// at: `now` without a feed; with a verified feed the served
+    /// batch's age is no longer a staleness signal, so its own
+    /// timestamp.
+    #[allow(clippy::too_many_arguments)]
+    fn check_feed<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
-        served: BatchNum,
+        served: &H,
         queried: &[Key],
-        feed: &[CertifiedDelta<H>],
-    ) -> Result<BatchNum, ReadRejection> {
-        let mut expected = BatchNum(served.0 + 1);
+        feed: Option<&[CertifiedDelta<H>]>,
+        now: SimTime,
+        receipt: &mut VerifyReceipt,
+    ) -> Result<SimTime, ReadRejection> {
+        let Some(feed) = feed else {
+            return Ok(now);
+        };
+        let mut expected = BatchNum(served.batch().0 + 1);
         for delta in feed {
             let got = delta.batch();
             if got != expected {
                 return Err(ReadRejection::FeedSpliced { expected, got });
             }
-            self.verify_delta(keys, expected_cluster, delta)?;
+            self.check_delta(keys, expected_cluster, delta, receipt)?;
             if delta.touches(queried) {
                 return Err(ReadRejection::BadDelta);
             }
             expected = BatchNum(got.0 + 1);
         }
-        Ok(feed.last().map_or(served, |d| d.batch()))
-    }
-
-    /// Step 4 of the feed chain: the freshness-window check against the
-    /// verified head's timestamp (see [`ReadVerifier::verify_feed`]).
-    fn check_feed_head_freshness(
-        &self,
-        head_ts: SimTime,
-        now: SimTime,
-    ) -> Result<(), ReadRejection> {
-        let skew = now
-            .saturating_since(head_ts)
-            .max(head_ts.saturating_since(now));
-        if skew > self.params.freshness_window {
-            return Err(ReadRejection::StaleTimestamp);
-        }
-        Ok(())
+        let head_ts = feed
+            .last()
+            .map_or(served.timestamp(), |d| d.commitment.timestamp());
+        self.check_freshness(head_ts, now)?;
+        Ok(served.timestamp())
     }
 
     /// Verify a batched multiproof response end to end: the commitment
-    /// chain (steps 1–4 of [`ReadVerifier::verify`]), then
+    /// chain (steps 1–4), then
     ///
     /// 5. every requested key is in the proven key set (a cached
     ///    superset is fine; a dropped key is
@@ -342,7 +604,8 @@ impl ReadVerifier {
     ///
     /// On success returns the verified `(key, value)` pairs in
     /// `expected_keys` order.
-    pub fn verify_multi<H: BatchCommitment>(
+    #[allow(clippy::too_many_arguments)]
+    fn verify_multi<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
@@ -350,6 +613,7 @@ impl ReadVerifier {
         expected_keys: &[Key],
         min_lce: Epoch,
         now: SimTime,
+        receipt: &mut VerifyReceipt,
     ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
         self.check_commitment(
             keys,
@@ -358,6 +622,7 @@ impl ReadVerifier {
             &bundle.cert,
             min_lce,
             now,
+            receipt,
         )?;
         let body = &bundle.body;
         // 5. Proven set covers the request. Checked before the proof:
@@ -375,6 +640,7 @@ impl ReadVerifier {
         if body.values.len() != body.keys.len() {
             return Err(ReadRejection::BadMultiProof);
         }
+        receipt.leaf_hashes += body.keys.len() as u64;
         let verdicts = verify_multi_proof(
             bundle.commitment.merkle_root(),
             self.params.tree_depth,
@@ -402,17 +668,17 @@ impl ReadVerifier {
             .collect())
     }
 
-    /// Step 5 of the chain on its own: every key in `expected_keys`
-    /// answered with a Merkle (non-)inclusion proof verifying against
+    /// Step 5 of the point chain: every key in `expected_keys` answered
+    /// with a Merkle (non-)inclusion proof verifying against
     /// `commitment`'s root, present values hashing to the proven
     /// digests. Only sound once the commitment itself has been chained
-    /// to a certificate (steps 1–4) — callers reuse it when several
-    /// sections share one already-verified commitment.
+    /// to a certificate (steps 1–4).
     fn verify_reads<H: BatchCommitment>(
         &self,
         commitment: &H,
         expected_keys: &[Key],
         reads: &[ProvenRead],
+        receipt: &mut VerifyReceipt,
     ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
         let root = commitment.merkle_root();
         let mut out = Vec::with_capacity(expected_keys.len());
@@ -420,6 +686,7 @@ impl ReadVerifier {
             let Some(read) = reads.iter().find(|r| &r.key == key) else {
                 return Err(ReadRejection::MissingKey(key.clone()));
             };
+            receipt.leaf_hashes += 1;
             match verify_proof(root, self.params.tree_depth, key, &read.proof) {
                 Ok(Verified::Present(proven_digest)) => match &read.value {
                     Some(value) if value_digest(value) == proven_digest => {
@@ -439,38 +706,14 @@ impl ReadVerifier {
         Ok(out)
     }
 
-    /// [`ReadVerifier::verify`] over a [`ProofBundle`], expecting an
-    /// answer for every key in the bundle.
-    pub fn verify_bundle<H: BatchCommitment>(
-        &self,
-        keys: &KeyStore,
-        expected_cluster: ClusterId,
-        bundle: &ProofBundle<H>,
-        expected_keys: &[Key],
-        min_lce: Epoch,
-        now: SimTime,
-    ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        self.verify(
-            keys,
-            expected_cluster,
-            &bundle.commitment,
-            &bundle.cert,
-            expected_keys,
-            &bundle.reads,
-            min_lce,
-            now,
-        )
-    }
-
     /// Verify a proof-carrying range scan end to end. On top of the
     /// point-read chain (partition → certificate → freshness → LCE
     /// floor), a scan must prove **completeness**: that the returned
     /// rows are *all* the committed rows of the requested window — an
     /// untrusted edge must not be able to silently omit one. The checks:
     ///
-    /// 1–4. identical to [`ReadVerifier::verify`] (cluster, `f+1`
-    ///      certificate over the recomputed digest, freshness window,
-    ///      dependency floor);
+    /// 1–4. the commitment chain (cluster, `f+1` certificate over the
+    ///      recomputed digest, freshness window, dependency floor);
     /// 5. the *proven* window covers the *requested* range (a cached
     ///    wider window is fine — anything narrower is a boundary
     ///    truncation and rejected);
@@ -483,7 +726,8 @@ impl ReadVerifier {
     /// On success returns the verified rows *restricted to the
     /// requested range* (rows of a wider proven window are verified,
     /// then filtered).
-    pub fn verify_scan<H: BatchCommitment>(
+    #[allow(clippy::too_many_arguments)]
+    fn verify_scan<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
@@ -491,9 +735,17 @@ impl ReadVerifier {
         requested: &ScanRange,
         min_lce: Epoch,
         now: SimTime,
+        receipt: &mut VerifyReceipt,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
-        let entries =
-            self.verify_scan_chain(keys, expected_cluster, bundle, requested, min_lce, now)?;
+        let entries = self.verify_scan_chain(
+            keys,
+            expected_cluster,
+            bundle,
+            requested,
+            min_lce,
+            now,
+            receipt,
+        )?;
         // 7. Rows ↔ entries, exactly. The entry list is the complete
         // committed content of the window (step 6), so matching it
         // one-to-one in order rules out omission, injection, and
@@ -526,6 +778,7 @@ impl ReadVerifier {
     /// success returns the **complete** committed entry list of the
     /// *proven* window (which may be wider than `requested`), in tree
     /// order; only then is matching rows against it meaningful.
+    #[allow(clippy::too_many_arguments)]
     fn verify_scan_chain<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
@@ -534,7 +787,8 @@ impl ReadVerifier {
         requested: &ScanRange,
         min_lce: Epoch,
         now: SimTime,
-    ) -> Result<Vec<transedge_crypto::merkle::BucketEntry>, ReadRejection> {
+        receipt: &mut VerifyReceipt,
+    ) -> Result<Vec<BucketEntry>, ReadRejection> {
         let commitment = &bundle.commitment;
         // 1–4. Commitment chained to a certificate, fresh, above floor.
         self.check_commitment(
@@ -544,6 +798,7 @@ impl ReadVerifier {
             &bundle.cert,
             min_lce,
             now,
+            receipt,
         )?;
         // 5. Coverage: the proven window must contain the request.
         let proven_range = bundle.scan.range;
@@ -553,16 +808,19 @@ impl ReadVerifier {
                 proven: proven_range,
             });
         }
-        // 6. Completeness proof against the certified root.
-        match verify_range_proof(
+        // 6. Completeness proof against the certified root: one leaf
+        // per bucket of the window, once its shape is admissible.
+        let depth = self.params.tree_depth;
+        if proven_range.is_valid_for_depth(depth) {
+            receipt.leaf_hashes += proven_range.width();
+        }
+        verify_range_proof(
             commitment.merkle_root(),
-            self.params.tree_depth,
+            depth,
             &proven_range,
             &bundle.scan.proof,
-        ) {
-            Ok(entries) => Ok(entries),
-            Err(_) => Err(ReadRejection::BadRangeProof),
-        }
+        )
+        .map_err(|_| ReadRejection::BadRangeProof)
     }
 
     /// Verify a partially-assembled response: a sequence of sections
@@ -576,10 +834,8 @@ impl ReadVerifier {
     ///   permit torn reads within the partition — [`ReadRejection::TornAssembly`]);
     /// * answer every key in `expected_keys` exactly once across
     ///   sections (extra unrequested keys are verified but dropped).
-    ///
-    /// A single-section assembly is equivalent to
-    /// [`ReadVerifier::verify_bundle`].
-    pub fn verify_assembled<H: BatchCommitment>(
+    #[allow(clippy::too_many_arguments)]
+    fn verify_assembled<H: BatchCommitment>(
         &self,
         keys: &KeyStore,
         expected_cluster: ClusterId,
@@ -587,6 +843,7 @@ impl ReadVerifier {
         expected_keys: &[Key],
         min_lce: Epoch,
         now: SimTime,
+        receipt: &mut VerifyReceipt,
     ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
         let Some(first) = sections.first() else {
             return Err(ReadRejection::EmptyAssembly);
@@ -601,9 +858,7 @@ impl ReadVerifier {
                     got: section.commitment.batch(),
                 });
             }
-            // Each section vouches for exactly the keys it carries.
-            let section_keys: Vec<Key> = section.reads.iter().map(|r| r.key.clone()).collect();
-            let values = if i > 0 && section.commitment.certified_digest() == anchor_digest {
+            if i > 0 && section.commitment.certified_digest() == anchor_digest {
                 // Content-identical commitment (the certified digest
                 // covers every field, root included): the anchor
                 // section already chained it to a certificate and
@@ -611,20 +866,23 @@ impl ReadVerifier {
                 // section's per-key proofs are new work. This is the
                 // honest partial-assembly fast path — one certificate
                 // verification per response, not one per section.
-                self.verify_reads(&section.commitment, &section_keys, &section.reads)?
+                receipt.sig_checks_reused += section.cert.sigs.len() as u64;
             } else {
-                self.verify(
+                self.check_commitment(
                     keys,
                     expected_cluster,
                     &section.commitment,
                     &section.cert,
-                    &section_keys,
-                    &section.reads,
                     min_lce,
                     now,
-                )?
-            };
-            for (key, value) in values {
+                    receipt,
+                )?;
+            }
+            // Each section vouches for exactly the keys it carries.
+            let section_keys: Vec<Key> = section.reads.iter().map(|r| r.key.clone()).collect();
+            for (key, value) in
+                self.verify_reads(&section.commitment, &section_keys, &section.reads, receipt)?
+            {
                 if by_key.insert(key.clone(), value).is_some() {
                     return Err(ReadRejection::DuplicateKey(key));
                 }
@@ -641,187 +899,6 @@ impl ReadVerifier {
             .collect()
     }
 
-    /// The single verifier entry point of the unified read protocol:
-    /// check a [`ReadResponse`] against the [`ReadQuery`] (one
-    /// per-partition sub-query) it answers, dispatching to the
-    /// point/assembled/scan proof chains and enforcing the query's
-    /// snapshot policy and page pin on top:
-    ///
-    /// * shape: the payload must match the query's shape
-    ///   ([`ReadRejection::ShapeMismatch`]);
-    /// * page token: the resume bound must lie inside the query's range
-    ///   past its first window ([`ReadRejection::PageOutOfRange`] — a
-    ///   tampered or replayed token), and the response must be served
-    ///   at exactly the token's batch
-    ///   ([`ReadRejection::SnapshotPinMismatch`] — the page-splice
-    ///   attack);
-    /// * policy: [`crate::SnapshotPolicy::AtBatch`] pins the batch the
-    ///   same way; [`crate::SnapshotPolicy::MinEpoch`] becomes the LCE
-    ///   floor of the underlying chain (scans included — the round-two
-    ///   semantics point reads always had).
-    ///
-    /// On success returns the verified [`QueryAnswer`]; for scans it
-    /// includes the [`PageToken`] for the next page, pinned to the
-    /// batch this page verified at.
-    pub fn verify_query<H: BatchCommitment>(
-        &self,
-        keys: &KeyStore,
-        expected_cluster: ClusterId,
-        query: &ReadQuery,
-        response: &ReadResponse<H>,
-        now: SimTime,
-    ) -> Result<QueryAnswer, ReadRejection> {
-        self.verify_query_resuming(keys, expected_cluster, query, response, &[], now)
-    }
-
-    /// [`ReadVerifier::verify_query`] for callers holding a verified
-    /// prefix: when the query carries a [`crate::PrefixResume`],
-    /// `held_prefix` must be the rows (in tree order) the caller
-    /// verified for buckets `[range.first, through]` at the *old*
-    /// snapshot. The response's completeness proof covers the whole
-    /// prefix-plus-page window at the new snapshot, but carries rows
-    /// only past the prefix; the held rows are matched against the
-    /// prefix's proof entries instead. Matching carries the prefix over
-    /// to the new snapshot; divergence (the data changed between
-    /// batches — honest behaviour) is
-    /// [`ReadRejection::PrefixDiverged`]; anything else is the usual
-    /// byzantine evidence. On success returns only the *fresh* rows —
-    /// the caller already holds the prefix.
-    pub fn verify_query_resuming<H: BatchCommitment>(
-        &self,
-        keys: &KeyStore,
-        expected_cluster: ClusterId,
-        query: &ReadQuery,
-        response: &ReadResponse<H>,
-        held_prefix: &[(Key, Value)],
-        now: SimTime,
-    ) -> Result<QueryAnswer, ReadRejection> {
-        let min_lce = query.min_lce();
-        if let (QueryShape::Scan { range, .. }, ReadResponse::Scan { bundle }, Some(through)) =
-            (&query.shape, response, query.fresh_rows_from())
-        {
-            return self.verify_prefix_resume(
-                keys,
-                expected_cluster,
-                query,
-                bundle.as_ref(),
-                *range,
-                through,
-                held_prefix,
-                min_lce,
-                now,
-            );
-        }
-        match (&query.shape, response) {
-            (QueryShape::Point { keys: expected }, ReadResponse::Point { sections, fresh }) => {
-                let mut check_now = now;
-                if let Some(feed) = fresh {
-                    let Some(first) = sections.first() else {
-                        return Err(ReadRejection::EmptyAssembly);
-                    };
-                    self.verify_feed(keys, expected_cluster, first.batch(), expected, feed)?;
-                    let head_ts = feed
-                        .last()
-                        .map_or(first.commitment.timestamp(), |d| d.commitment.timestamp());
-                    self.check_feed_head_freshness(head_ts, now)?;
-                    // The verified feed proves the served values current
-                    // through a fresh head, so the served batch's own age
-                    // is no longer a staleness signal: anchor the base
-                    // chain's clock at it.
-                    check_now = first.commitment.timestamp();
-                }
-                let values = self.verify_assembled(
-                    keys,
-                    expected_cluster,
-                    sections,
-                    expected,
-                    min_lce,
-                    check_now,
-                )?;
-                if let Some(pinned) = query.pinned_batch() {
-                    // Non-empty: verify_assembled rejects empty assemblies.
-                    let got = sections[0].batch();
-                    if got != pinned {
-                        return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-                    }
-                }
-                Ok(QueryAnswer::Values(values))
-            }
-            (QueryShape::Point { keys: expected }, ReadResponse::Multi { bundle, fresh }) => {
-                let mut check_now = now;
-                if let Some(feed) = fresh {
-                    self.verify_feed(keys, expected_cluster, bundle.batch(), expected, feed)?;
-                    let head_ts = feed
-                        .last()
-                        .map_or(bundle.commitment.timestamp(), |d| d.commitment.timestamp());
-                    self.check_feed_head_freshness(head_ts, now)?;
-                    check_now = bundle.commitment.timestamp();
-                }
-                let values = self.verify_multi(
-                    keys,
-                    expected_cluster,
-                    bundle.as_ref(),
-                    expected,
-                    min_lce,
-                    check_now,
-                )?;
-                if let Some(pinned) = query.pinned_batch() {
-                    let got = bundle.batch();
-                    if got != pinned {
-                        return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-                    }
-                }
-                Ok(QueryAnswer::Values(values))
-            }
-            (QueryShape::Scan { range, .. }, ReadResponse::Scan { bundle }) => {
-                if let Some(PageToken { resume, .. }) = query.page {
-                    // The first page starts at `range.first` with no
-                    // token, so a legitimate token always resumes
-                    // strictly inside the range: anything at or before
-                    // the start is a token moved backwards (replaying
-                    // already-scanned buckets), anything past the end a
-                    // fabricated continuation.
-                    if resume <= range.first || resume > range.last {
-                        return Err(ReadRejection::PageOutOfRange {
-                            resume,
-                            range: *range,
-                        });
-                    }
-                }
-                let Some(window) = query.scan_window() else {
-                    return Err(ReadRejection::PageOutOfRange {
-                        resume: query.page.as_ref().map_or(range.first, |t| t.resume),
-                        range: *range,
-                    });
-                };
-                if let Some(pinned) = query.pinned_batch() {
-                    let got = bundle.batch();
-                    if got != pinned {
-                        return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-                    }
-                }
-                let rows = self.verify_scan(
-                    keys,
-                    expected_cluster,
-                    bundle.as_ref(),
-                    &window,
-                    min_lce,
-                    now,
-                )?;
-                let next = if window.last < range.last {
-                    Some(PageToken {
-                        batch: bundle.batch(),
-                        resume: window.last + 1,
-                    })
-                } else {
-                    None
-                };
-                Ok(QueryAnswer::Rows { rows, next })
-            }
-            _ => Err(ReadRejection::ShapeMismatch),
-        }
-    }
-
     /// The prefix-resume scan check (see
     /// [`ReadVerifier::verify_query_resuming`]): one proof over the
     /// whole prefix-plus-page window at the new snapshot; held rows
@@ -836,8 +913,8 @@ impl ReadVerifier {
         range: ScanRange,
         through: u64,
         held_prefix: &[(Key, Value)],
-        min_lce: Epoch,
         now: SimTime,
+        receipt: &mut VerifyReceipt,
     ) -> Result<QueryAnswer, ReadRejection> {
         // A prefix bound outside the range is a malformed (or tampered)
         // resume marker, like a bad page token.
@@ -851,14 +928,16 @@ impl ReadVerifier {
             resume: through,
             range,
         })?;
-        if let Some(pinned) = query.pinned_batch() {
-            let got = bundle.batch();
-            if got != pinned {
-                return Err(ReadRejection::SnapshotPinMismatch { pinned, got });
-            }
-        }
-        let entries =
-            self.verify_scan_chain(keys, expected_cluster, bundle, &window, min_lce, now)?;
+        check_pin(query, bundle.batch())?;
+        let entries = self.verify_scan_chain(
+            keys,
+            expected_cluster,
+            bundle,
+            &window,
+            query.min_lce(),
+            now,
+            receipt,
+        )?;
         // Walk the complete committed entry list of the proven window in
         // tree order, consuming from two cursors: entries inside the
         // held prefix `[range.first, through]` must match the held rows
@@ -929,14 +1008,28 @@ impl ReadVerifier {
                 returned: rows.len(),
             });
         }
-        let next = if window.last < range.last {
-            Some(PageToken {
-                batch: bundle.batch(),
-                resume: window.last + 1,
-            })
-        } else {
-            None
-        };
-        Ok(QueryAnswer::Rows { rows: fresh, next })
+        Ok(QueryAnswer::Rows {
+            rows: fresh,
+            next: next_page(range, window, bundle.batch()),
+        })
     }
+}
+
+/// A query pinned to an exact snapshot (a page token or an
+/// [`crate::SnapshotPolicy::AtBatch`] policy) accepts only a response
+/// served at that batch.
+fn check_pin(query: &ReadQuery, got: BatchNum) -> Result<(), ReadRejection> {
+    match query.pinned_batch() {
+        Some(pinned) if pinned != got => Err(ReadRejection::SnapshotPinMismatch { pinned, got }),
+        _ => Ok(()),
+    }
+}
+
+/// The token for the page after `window`, pinned to the batch this page
+/// verified at; `None` once the range is exhausted.
+fn next_page(range: ScanRange, window: ScanRange, batch: BatchNum) -> Option<PageToken> {
+    (window.last < range.last).then_some(PageToken {
+        batch,
+        resume: window.last + 1,
+    })
 }

@@ -2,9 +2,10 @@
 //! every way an untrusted relay could doctor a commit feed — splicing
 //! out a delta, replaying one, reordering the chain, editing a changed
 //! key set, attaching a feed whose deltas touch the queried keys, or
-//! forging the certificate — is rejected by `verify_feed` /
-//! `verify_delta` with a typed, *cryptographic* rejection. The honest
-//! chain always verifies.
+//! forging the certificate — is rejected with a typed, *cryptographic*
+//! rejection. Each feed rides as the freshness certificate (`fresh`) of
+//! an honest point response through `verify_query`, exactly as an edge
+//! would attach it. The honest chain always verifies.
 
 use proptest::prelude::*;
 use transedge_common::{
@@ -12,10 +13,13 @@ use transedge_common::{
 };
 use transedge_consensus::messages::accept_statement;
 use transedge_consensus::Certificate;
-use transedge_crypto::{Digest, KeyStore, Sha256};
+use transedge_crypto::{Digest, KeyStore, Sha256, VersionedMerkleTree};
 use transedge_edge::{
-    changed_keys_digest, BatchCommitment, CertifiedDelta, ReadRejection, ReadVerifier, VerifyParams,
+    changed_keys_digest, Accepted, BatchCommitment, CertifiedDelta, ProofBundle, ProvenRead,
+    QueryAnswer, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, VerifyParams, VerifyReceipt,
 };
+
+const DEPTH: u32 = 8;
 
 /// A minimal commitment whose certified digest folds in the delta
 /// digest, mirroring `transedge-core`'s `BatchHeader` — the property
@@ -82,21 +86,21 @@ impl Publisher {
 
     fn verifier(&self) -> ReadVerifier {
         ReadVerifier::new(VerifyParams {
-            tree_depth: 8,
+            tree_depth: DEPTH,
             freshness_window: SimDuration::from_secs(30),
             quorum: self.topo.certificate_quorum(),
         })
     }
 
-    /// Certify one batch's delta: sorted unique `changed` keys, digest
-    /// folded into the certified header, `f+1` replica signatures.
-    fn delta(&self, num: u64, changed: Vec<Key>) -> CertifiedDelta<FeedHeader> {
+    /// Batch `num`'s header over `root` and `changed`, with its `f+1`
+    /// certificate.
+    fn certify(&self, num: u64, root: Digest, changed: &[Key]) -> (FeedHeader, Certificate) {
         let header = FeedHeader {
             cluster: ClusterId(0),
             num: BatchNum(num),
-            root: Digest([0u8; 32]),
+            root,
             lce: Epoch(num as i64),
-            delta: changed_keys_digest(&changed),
+            delta: changed_keys_digest(changed),
             timestamp: SimTime(1_000 * num),
         };
         let digest = header.certified_digest();
@@ -107,16 +111,62 @@ impl Publisher {
             .take(self.topo.certificate_quorum())
             .map(|r| (NodeId::Replica(r), self.secrets[&r].sign(&stmt)))
             .collect();
+        let cert = Certificate {
+            cluster: ClusterId(0),
+            slot: BatchNum(num),
+            digest,
+            sigs,
+        };
+        (header, cert)
+    }
+
+    /// Certify one batch's delta: sorted unique `changed` keys, digest
+    /// folded into the certified header, `f+1` replica signatures.
+    fn delta(&self, num: u64, changed: Vec<Key>) -> CertifiedDelta<FeedHeader> {
+        let (commitment, cert) = self.certify(num, Digest([0u8; 32]), &changed);
         CertifiedDelta {
-            commitment: header,
-            cert: Certificate {
-                cluster: ClusterId(0),
-                slot: BatchNum(num),
-                digest,
-                sigs,
-            },
+            commitment,
+            cert,
             changed,
         }
+    }
+
+    /// Verify `feed` as the freshness certificate of an honest point
+    /// response served at batch `served` (a certified empty tree
+    /// proving both queried keys absent), shortly after the chain's
+    /// last batch.
+    fn verify(
+        &self,
+        served: u64,
+        feed: Vec<CertifiedDelta<FeedHeader>>,
+    ) -> Result<Accepted, ReadRejection> {
+        let tree = VersionedMerkleTree::with_depth(DEPTH);
+        let (commitment, cert) = self.certify(served, tree.root_at(0), &[]);
+        let reads = queried()
+            .into_iter()
+            .map(|key| ProvenRead {
+                proof: tree.prove_at(&key, 0),
+                key,
+                value: None,
+            })
+            .collect();
+        let response = ReadResponse::Point {
+            sections: vec![ProofBundle {
+                commitment,
+                cert,
+                reads,
+            }],
+            fresh: Some(feed),
+        };
+        self.verifier()
+            .verify_query(
+                &self.keys,
+                ClusterId(0),
+                &ReadQuery::point(queried()),
+                &response,
+                SimTime(1_000 * (served + 10)),
+            )
+            .map_err(|rejected| rejected.rejection)
     }
 
     /// An honest feed: batches `served+1 ..= served+n`, each changing a
@@ -146,18 +196,49 @@ fn queried() -> Vec<Key> {
     vec![Key::from_u32(1), Key::from_u32(2)]
 }
 
+/// A point read carrying a 3-delta feed pays the served section's
+/// certificate and key proofs plus, per delta, one certificate and one
+/// changed-set digest.
+#[test]
+fn feed_receipt_counts_every_delta() {
+    let p = Publisher::new();
+    let feed = p.feed(4, &[vec![100], vec![200, 201], vec![]]);
+    let accepted = p.verify(4, feed).expect("honest feed must verify");
+    let quorum = p.topo.certificate_quorum() as u64;
+    assert_eq!(
+        accepted.receipt,
+        VerifyReceipt {
+            sig_checks: 4 * quorum,
+            sig_checks_reused: 0,
+            leaf_hashes: 2 + 3,
+        }
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The honest chain always verifies, and returns the head batch.
+    /// The honest chain always verifies, every delta up to the head
+    /// checked: one certificate and one changed-set digest each, on top
+    /// of the served section's certificate and two key proofs.
     #[test]
     fn honest_feed_verifies_to_head(sets in changed_sets(), served in 0u64..50) {
         let p = Publisher::new();
         let feed = p.feed(served, &sets);
-        let head = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
-            .expect("honest feed must verify");
-        prop_assert_eq!(head, BatchNum(served + sets.len() as u64));
+        let accepted = p.verify(served, feed).expect("honest feed must verify");
+        let absent: Vec<(Key, Option<transedge_common::Value>)> =
+            queried().into_iter().map(|k| (k, None)).collect();
+        prop_assert_eq!(accepted.answer, QueryAnswer::Values(absent));
+        let deltas = sets.len() as u64;
+        let quorum = p.topo.certificate_quorum() as u64;
+        prop_assert_eq!(
+            accepted.receipt,
+            VerifyReceipt {
+                sig_checks: quorum * (1 + deltas),
+                sig_checks_reused: 0,
+                leaf_hashes: 2 + deltas,
+            }
+        );
     }
 
     /// Omitting any non-final delta leaves a gap in the chain —
@@ -174,8 +255,7 @@ proptest! {
         let mut feed = p.feed(served, &sets);
         let drop_at = pick.index(feed.len() - 1); // never the last
         feed.remove(drop_at);
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify(served, feed)
             .expect_err("a gapped feed must not verify");
         prop_assert!(matches!(err, ReadRejection::FeedSpliced { .. }), "{:?}", err);
     }
@@ -192,8 +272,7 @@ proptest! {
         let mut feed = p.feed(served, &sets);
         let dup_at = pick.index(feed.len());
         feed.insert(dup_at, feed[dup_at].clone());
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify(served, feed)
             .expect_err("a replayed delta must not verify");
         prop_assert!(matches!(err, ReadRejection::FeedSpliced { .. }), "{:?}", err);
     }
@@ -209,8 +288,7 @@ proptest! {
         let mut feed = p.feed(served, &sets);
         let at = pick.index(feed.len() - 1);
         feed.swap(at, at + 1);
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify(served, feed)
             .expect_err("a reordered feed must not verify");
         prop_assert!(matches!(err, ReadRejection::FeedSpliced { .. }), "{:?}", err);
     }
@@ -238,8 +316,7 @@ proptest! {
         } else {
             feed[at].changed.remove(0);
         }
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify(served, feed)
             .expect_err("an edited changed set must not verify");
         prop_assert_eq!(err, ReadRejection::BadDelta);
     }
@@ -258,8 +335,7 @@ proptest! {
         let at = pick.index(sets.len());
         sets[at].push(1); // queried key
         let feed = p.feed(served, &sets);
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify(served, feed)
             .expect_err("a feed touching a queried key must not verify");
         prop_assert_eq!(err, ReadRejection::BadDelta);
     }
@@ -283,8 +359,7 @@ proptest! {
             // Certificate for the right digest, wrong slot.
             feed[at].cert.slot = BatchNum(feed[at].cert.slot.0 + 1_000);
         }
-        let err = p.verifier()
-            .verify_feed(&p.keys, ClusterId(0), BatchNum(served), &queried(), &feed)
+        let err = p.verify(served, feed)
             .expect_err("a forged certificate must not verify");
         prop_assert_eq!(err, ReadRejection::BadCertificate);
     }

@@ -2,7 +2,7 @@
 //! untrusted edge holding a valid multiproof body must not be able to
 //! omit a requested key, substitute a sibling, splice proofs across
 //! batches, or tamper with any value slot without tripping a typed
-//! rejection from `verify_multi`.
+//! rejection from `verify_query`'s multiproof chain.
 
 use proptest::prelude::*;
 use transedge_common::{
@@ -169,19 +169,29 @@ impl Partition {
         bundle: &MultiProofBundle<TestHeader>,
         requested: &[Key],
     ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
-        ReadVerifier::new(VerifyParams {
+        let response = ReadResponse::Multi {
+            bundle: Box::new(bundle.clone()),
+            fresh: None,
+        };
+        let verdict = ReadVerifier::new(VerifyParams {
             tree_depth: DEPTH,
             freshness_window: SimDuration::from_secs(30),
             quorum: self.topo.certificate_quorum(),
         })
-        .verify_multi(
+        .verify_query(
             &self.keys,
             ClusterId(0),
-            bundle,
-            requested,
-            Epoch::NONE,
+            &ReadQuery::point(requested.to_vec()),
+            &response,
             SimTime(2_500),
-        )
+        );
+        match verdict {
+            Ok(accepted) => match accepted.answer {
+                QueryAnswer::Values(values) => Ok(values),
+                other => panic!("point query must yield values, got {other:?}"),
+            },
+            Err(rejected) => Err(rejected.rejection),
+        }
     }
 }
 
@@ -374,6 +384,7 @@ fn verify_query_dispatches_multi_responses() {
     match verifier
         .verify_query(&p.keys, ClusterId(0), &query, &response, SimTime(2_500))
         .expect("honest multi response verifies through verify_query")
+        .answer
     {
         QueryAnswer::Values(values) => {
             assert_eq!(values[0].1, Some(Value::from("alpha-v2")));
@@ -395,7 +406,8 @@ fn verify_query_dispatches_multi_responses() {
     assert_eq!(
         verifier
             .verify_query(&p.keys, ClusterId(0), &query, &forged, SimTime(2_500))
-            .unwrap_err(),
+            .unwrap_err()
+            .rejection,
         ReadRejection::MultiProofKeyMissing(dropped)
     );
 
@@ -414,7 +426,8 @@ fn verify_query_dispatches_multi_responses() {
     assert_eq!(
         verifier
             .verify_query(&p.keys, ClusterId(0), &query, &forged, SimTime(2_500))
-            .unwrap_err(),
+            .unwrap_err()
+            .rejection,
         ReadRejection::BadMultiProof
     );
 }

@@ -188,6 +188,8 @@ impl Partition {
     ) -> Result<QueryAnswer, ReadRejection> {
         self.verifier()
             .verify_query(&self.keys, ClusterId(0), query, response, SimTime(2_500))
+            .map(|accepted| accepted.answer)
+            .map_err(|rejected| rejected.rejection)
     }
 }
 

@@ -371,9 +371,13 @@ proptest! {
                 MUCH_LATER,
             )
             .unwrap_err();
-            prop_assert_eq!(
-                &err,
-                &HydrateReject::Verification(ReadRejection::StaleTimestamp)
+            prop_assert!(
+                matches!(
+                    &err,
+                    HydrateReject::Verification(rejected)
+                        if rejected.rejection == ReadRejection::StaleTimestamp
+                ),
+                "{err:?}"
             );
             prop_assert!(is_stale_only(&err));
         }

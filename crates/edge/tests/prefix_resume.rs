@@ -23,7 +23,7 @@ use transedge_crypto::{
 };
 use transedge_edge::{
     scan_snapshot, BatchCommitment, QueryAnswer, ReadQuery, ReadRejection, ReadResponse,
-    ReadVerifier, ScanBundle, SnapshotSource, VerifyParams,
+    ReadVerifier, ScanBundle, SnapshotSource, VerifyParams, VerifyReceipt,
 };
 use transedge_storage::VersionedStore;
 
@@ -184,16 +184,19 @@ impl Partition {
         bundle: ScanBundle<TestHeader>,
         held: &[(Key, Value)],
     ) -> Result<QueryAnswer, ReadRejection> {
-        self.verifier().verify_query_resuming(
-            &self.keys,
-            ClusterId(0),
-            query,
-            &ReadResponse::Scan {
-                bundle: Box::new(bundle),
-            },
-            held,
-            SimTime(5_000),
-        )
+        self.verifier()
+            .verify_query_resuming(
+                &self.keys,
+                ClusterId(0),
+                query,
+                &ReadResponse::Scan {
+                    bundle: Box::new(bundle),
+                },
+                held,
+                SimTime(5_000),
+            )
+            .map(|accepted| accepted.answer)
+            .map_err(|rejected| rejected.rejection)
     }
 }
 
@@ -283,6 +286,36 @@ fn unchanged_prefix_carries_over_and_pagination_continues() {
     let token = next.expect("more range left");
     assert_eq!(token.batch, BatchNum(1));
     assert_eq!(token.resume, 48);
+}
+
+/// A resume's receipt covers the proof over the whole prefix-plus-page
+/// window — held buckets included — under one certificate.
+#[test]
+fn resume_receipt_counts_the_whole_proven_window() {
+    let (p, held) = world();
+    let query = resume_query();
+    let response = ReadResponse::Scan {
+        bundle: Box::new(p.resume_bundle(&query, BatchNum(1))),
+    };
+    let accepted = p
+        .verifier()
+        .verify_query_resuming(
+            &p.keys,
+            ClusterId(0),
+            &query,
+            &response,
+            &held,
+            SimTime(5_000),
+        )
+        .expect("resume verifies");
+    assert_eq!(
+        accepted.receipt,
+        VerifyReceipt {
+            sig_checks: p.topo.certificate_quorum() as u64,
+            sig_checks_reused: 0,
+            leaf_hashes: 48,
+        }
+    );
 }
 
 #[test]

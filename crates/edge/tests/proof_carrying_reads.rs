@@ -10,8 +10,9 @@ use transedge_consensus::Certificate;
 use transedge_crypto::merkle::value_digest;
 use transedge_crypto::{Digest, KeyStore, MerkleProof, ScanRange, Sha256, VersionedMerkleTree};
 use transedge_edge::{
-    Assembly, BatchCommitment, ProofBundle, ReadPipeline, ReadRejection, ReadVerifier, ReplayCache,
-    SnapshotSource, VerifyParams,
+    scan_snapshot, Accepted, Assembly, BatchCommitment, MultiProofBundle, ProofBundle, QueryAnswer,
+    ReadPipeline, ReadQuery, ReadRejection, ReadResponse, ReadVerifier, Rejected, ReplayCache,
+    ScanBundle, SnapshotPolicy, SnapshotSource, VerifyParams, VerifyReceipt,
 };
 use transedge_storage::VersionedStore;
 
@@ -171,6 +172,33 @@ impl Partition {
             quorum: self.topo.certificate_quorum(),
         })
     }
+
+    /// Verify point `sections` as the answer to a point query for
+    /// `keys` at dependency floor `min_lce`, through the verifier's one
+    /// entry point.
+    fn verify_sections(
+        &self,
+        sections: &[ProofBundle<TestHeader>],
+        keys: &[Key],
+        min_lce: Epoch,
+        now: SimTime,
+    ) -> Result<Vec<(Key, Option<Value>)>, ReadRejection> {
+        let query = ReadQuery::point(keys.to_vec()).with_policy(SnapshotPolicy::MinEpoch(min_lce));
+        let response = ReadResponse::Point {
+            sections: sections.to_vec(),
+            fresh: None,
+        };
+        match self
+            .verifier()
+            .verify_query(&self.keys, ClusterId(0), &query, &response, now)
+        {
+            Ok(accepted) => match accepted.answer {
+                QueryAnswer::Values(values) => Ok(values),
+                other => panic!("point query must yield values, got {other:?}"),
+            },
+            Err(rejected) => Err(rejected.rejection),
+        }
+    }
 }
 
 fn two_batch_partition() -> Partition {
@@ -189,16 +217,13 @@ fn honest_reads_verify_cached_and_uncached() {
     let p = two_batch_partition();
     let mut pipeline = ReadPipeline::new(1024);
     let keys = request_keys();
-    let verifier = p.verifier();
     // Cold (uncached) and warm (cached) bundles must both verify and
     // agree byte for byte.
     for round in 0..2 {
         let bundle = p.bundle(&mut pipeline, &keys, BatchNum(1));
-        let values = verifier
-            .verify_bundle(
-                &p.keys,
-                ClusterId(0),
-                &bundle,
+        let values = p
+            .verify_sections(
+                std::slice::from_ref(&bundle),
                 &keys,
                 Epoch::NONE,
                 SimTime(2_500),
@@ -214,11 +239,9 @@ fn honest_reads_verify_cached_and_uncached() {
     );
     // Historical snapshot still serves the old value, also verified.
     let bundle0 = p.bundle(&mut pipeline, &keys, BatchNum(0));
-    let values0 = verifier
-        .verify_bundle(
-            &p.keys,
-            ClusterId(0),
-            &bundle0,
+    let values0 = p
+        .verify_sections(
+            std::slice::from_ref(&bundle0),
             &keys,
             Epoch::NONE,
             SimTime(1_500),
@@ -235,11 +258,8 @@ fn tampered_value_is_rejected() {
     let mut bundle = p.bundle(&mut pipeline, &keys, BatchNum(1));
     bundle.reads[0].value = Some(Value::from("forged"));
     let err = p
-        .verifier()
-        .verify_bundle(
-            &p.keys,
-            ClusterId(0),
-            &bundle,
+        .verify_sections(
+            std::slice::from_ref(&bundle),
             &keys,
             Epoch::NONE,
             SimTime(2_500),
@@ -257,11 +277,8 @@ fn forged_proof_is_rejected() {
     // Corrupt one sibling digest in the first key's proof.
     bundle.reads[0].proof.siblings[0] = Digest([0xEE; 32]);
     let err = p
-        .verifier()
-        .verify_bundle(
-            &p.keys,
-            ClusterId(0),
-            &bundle,
+        .verify_sections(
+            std::slice::from_ref(&bundle),
             &keys,
             Epoch::NONE,
             SimTime(2_500),
@@ -279,11 +296,8 @@ fn phantom_value_on_absent_key_is_rejected() {
     // Key 7 is proven absent; attach a value anyway.
     bundle.reads[2].value = Some(Value::from("conjured"));
     let err = p
-        .verifier()
-        .verify_bundle(
-            &p.keys,
-            ClusterId(0),
-            &bundle,
+        .verify_sections(
+            std::slice::from_ref(&bundle),
             &keys,
             Epoch::NONE,
             SimTime(2_500),
@@ -299,16 +313,13 @@ fn stale_root_is_rejected() {
     let p = two_batch_partition();
     let mut pipeline = ReadPipeline::new(1024);
     let keys = request_keys();
-    let verifier = p.verifier();
     // (a) Old proofs under the new certified header: proof fails.
     let mut mixed = p.bundle(&mut pipeline, &keys, BatchNum(0));
     mixed.commitment = p.headers[1].clone();
     mixed.cert = p.certs[1].clone();
-    let err = verifier
-        .verify_bundle(
-            &p.keys,
-            ClusterId(0),
-            &mixed,
+    let err = p
+        .verify_sections(
+            std::slice::from_ref(&mixed),
             &keys,
             Epoch::NONE,
             SimTime(2_500),
@@ -326,11 +337,9 @@ fn stale_root_is_rejected() {
     let mut rerooted = p.bundle(&mut pipeline, &keys, BatchNum(1));
     rerooted.commitment.merkle_root = p.headers[0].merkle_root;
     rerooted.cert = p.certs[1].clone();
-    let err = verifier
-        .verify_bundle(
-            &p.keys,
-            ClusterId(0),
-            &rerooted,
+    let err = p
+        .verify_sections(
+            std::slice::from_ref(&rerooted),
             &keys,
             Epoch::NONE,
             SimTime(2_500),
@@ -340,8 +349,8 @@ fn stale_root_is_rejected() {
     // (c) Honest old batch served against a round-2 dependency floor it
     // cannot satisfy: stale snapshot.
     let old = p.bundle(&mut pipeline, &keys, BatchNum(0));
-    let err = verifier
-        .verify_bundle(&p.keys, ClusterId(0), &old, &keys, Epoch(0), SimTime(1_500))
+    let err = p
+        .verify_sections(std::slice::from_ref(&old), &keys, Epoch(0), SimTime(1_500))
         .unwrap_err();
     assert_eq!(
         err,
@@ -357,53 +366,43 @@ fn certificate_forgeries_are_rejected() {
     let p = two_batch_partition();
     let mut pipeline = ReadPipeline::new(1024);
     let keys = request_keys();
-    let verifier = p.verifier();
     // Dropped below quorum.
     let mut thin = p.bundle(&mut pipeline, &keys, BatchNum(1));
     thin.cert.sigs.truncate(p.topo.certificate_quorum() - 1);
     assert_eq!(
-        verifier
-            .verify_bundle(
-                &p.keys,
-                ClusterId(0),
-                &thin,
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
-            .unwrap_err(),
+        p.verify_sections(
+            std::slice::from_ref(&thin),
+            &keys,
+            Epoch::NONE,
+            SimTime(2_500)
+        )
+        .unwrap_err(),
         ReadRejection::BadCertificate
     );
     // Certificate for a different slot.
     let mut wrong_slot = p.bundle(&mut pipeline, &keys, BatchNum(1));
     wrong_slot.cert = p.certs[0].clone();
     assert_eq!(
-        verifier
-            .verify_bundle(
-                &p.keys,
-                ClusterId(0),
-                &wrong_slot,
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
-            .unwrap_err(),
+        p.verify_sections(
+            std::slice::from_ref(&wrong_slot),
+            &keys,
+            Epoch::NONE,
+            SimTime(2_500)
+        )
+        .unwrap_err(),
         ReadRejection::BadCertificate
     );
     // Response for the wrong partition.
     let mut wrong_cluster = p.bundle(&mut pipeline, &keys, BatchNum(1));
     wrong_cluster.commitment.cluster = ClusterId(3);
     assert!(matches!(
-        verifier
-            .verify_bundle(
-                &p.keys,
-                ClusterId(0),
-                &wrong_cluster,
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
-            .unwrap_err(),
+        p.verify_sections(
+            std::slice::from_ref(&wrong_cluster),
+            &keys,
+            Epoch::NONE,
+            SimTime(2_500)
+        )
+        .unwrap_err(),
         ReadRejection::WrongCluster { .. }
     ));
 }
@@ -416,8 +415,7 @@ fn stale_timestamp_is_rejected() {
     let bundle = p.bundle(&mut pipeline, &keys, BatchNum(1));
     let too_late = SimTime(2_000 + SimDuration::from_secs(31).as_micros());
     assert_eq!(
-        p.verifier()
-            .verify_bundle(&p.keys, ClusterId(0), &bundle, &keys, Epoch::NONE, too_late)
+        p.verify_sections(std::slice::from_ref(&bundle), &keys, Epoch::NONE, too_late)
             .unwrap_err(),
         ReadRejection::StaleTimestamp
     );
@@ -431,16 +429,13 @@ fn missing_key_is_rejected() {
     let mut bundle = p.bundle(&mut pipeline, &keys, BatchNum(1));
     bundle.reads.remove(1);
     assert_eq!(
-        p.verifier()
-            .verify_bundle(
-                &p.keys,
-                ClusterId(0),
-                &bundle,
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
-            .unwrap_err(),
+        p.verify_sections(
+            std::slice::from_ref(&bundle),
+            &keys,
+            Epoch::NONE,
+            SimTime(2_500)
+        )
+        .unwrap_err(),
         ReadRejection::MissingKey(Key::from_u32(2))
     );
 }
@@ -450,22 +445,22 @@ fn replay_cache_round_trips_verified_bundles() {
     let p = two_batch_partition();
     let mut pipeline = ReadPipeline::new(1024);
     let keys = request_keys();
-    let verifier = p.verifier();
     let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
     // Nothing cached yet: the edge node must pass upstream.
-    assert!(replay.replay(&keys, Epoch::NONE, SimTime::ZERO).is_none());
+    assert!(matches!(
+        replay.assemble(&keys, Epoch::NONE, SimTime::ZERO),
+        Assembly::Miss
+    ));
     assert_eq!(replay.stats.passes, 1);
     // Absorb an upstream response, then replay it to a second client.
     let upstream = p.bundle(&mut pipeline, &keys, BatchNum(1));
     replay.admit(&upstream);
-    let replayed = replay
-        .replay(&keys, Epoch::NONE, SimTime::ZERO)
-        .expect("cached replay");
-    let values = verifier
-        .verify_bundle(
-            &p.keys,
-            ClusterId(0),
-            &replayed,
+    let Assembly::Full(replayed) = replay.assemble(&keys, Epoch::NONE, SimTime::ZERO) else {
+        panic!("cached replay");
+    };
+    let values = p
+        .verify_sections(
+            std::slice::from_ref(&replayed),
             &keys,
             Epoch::NONE,
             SimTime(2_500),
@@ -475,15 +470,20 @@ fn replay_cache_round_trips_verified_bundles() {
     assert_eq!(replay.stats.replayed, 1);
     // A dependency floor the cached batch cannot satisfy passes
     // upstream instead of serving stale state.
-    assert!(replay.replay(&keys, Epoch(5), SimTime::ZERO).is_none());
+    assert!(matches!(
+        replay.assemble(&keys, Epoch(5), SimTime::ZERO),
+        Assembly::Miss
+    ));
     // A subset of the cached keys replays too.
-    assert!(replay
-        .replay(&keys[..1], Epoch::NONE, SimTime::ZERO)
-        .is_some());
+    assert!(matches!(
+        replay.assemble(&keys[..1], Epoch::NONE, SimTime::ZERO),
+        Assembly::Full(_)
+    ));
     // Unknown keys pass upstream.
-    assert!(replay
-        .replay(&[Key::from_u32(99)], Epoch::NONE, SimTime::ZERO)
-        .is_none());
+    assert!(matches!(
+        replay.assemble(&[Key::from_u32(99)], Epoch::NONE, SimTime::ZERO),
+        Assembly::Miss
+    ));
 }
 
 /// Partial assembly: a request only partially covered by the cache is
@@ -494,7 +494,6 @@ fn replay_cache_round_trips_verified_bundles() {
 fn partial_assembly_combines_cached_and_upstream_sections() {
     let p = two_batch_partition();
     let mut pipeline = ReadPipeline::new(1024);
-    let verifier = p.verifier();
     let mut replay: ReplayCache<TestHeader> = ReplayCache::new(1024, 8);
     // The edge has only keys 1 and 2 cached (at batch 1).
     let cached_keys = vec![Key::from_u32(1), Key::from_u32(2)];
@@ -512,15 +511,8 @@ fn partial_assembly_combines_cached_and_upstream_sections() {
     // The upstream fill, pinned at the anchor batch.
     let fill = p.bundle(&mut pipeline, &missing, BatchNum(1));
     let sections = [cached.clone(), fill];
-    let values = verifier
-        .verify_assembled(
-            &p.keys,
-            ClusterId(0),
-            &sections,
-            &keys,
-            Epoch::NONE,
-            SimTime(2_500),
-        )
+    let values = p
+        .verify_sections(&sections, &keys, Epoch::NONE, SimTime(2_500))
         .expect("assembled response verifies end to end");
     assert_eq!(values[0], (Key::from_u32(1), Some(Value::from("alpha-v2"))));
     assert_eq!(values[1], (Key::from_u32(2), Some(Value::from("beta"))));
@@ -529,31 +521,20 @@ fn partial_assembly_combines_cached_and_upstream_sections() {
     let mut forged = [sections[0].clone(), sections[1].clone()];
     forged[0].reads[0].value = Some(Value::from("forged"));
     assert_eq!(
-        verifier
-            .verify_assembled(
-                &p.keys,
-                ClusterId(0),
-                &forged,
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
+        p.verify_sections(&forged, &keys, Epoch::NONE, SimTime(2_500))
             .unwrap_err(),
         ReadRejection::ValueMismatch(Key::from_u32(1))
     );
     // Sections at different batches would permit torn reads: rejected.
     let torn_fill = p.bundle(&mut pipeline, &[Key::from_u32(7)], BatchNum(0));
     assert_eq!(
-        verifier
-            .verify_assembled(
-                &p.keys,
-                ClusterId(0),
-                &[cached.clone(), torn_fill],
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
-            .unwrap_err(),
+        p.verify_sections(
+            &[cached.clone(), torn_fill],
+            &keys,
+            Epoch::NONE,
+            SimTime(2_500)
+        )
+        .unwrap_err(),
         ReadRejection::TornAssembly {
             anchor: BatchNum(1),
             got: BatchNum(0)
@@ -566,29 +547,13 @@ fn partial_assembly_combines_cached_and_upstream_sections() {
         BatchNum(1),
     );
     assert_eq!(
-        verifier
-            .verify_assembled(
-                &p.keys,
-                ClusterId(0),
-                &[cached, dup_fill],
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
+        p.verify_sections(&[cached, dup_fill], &keys, Epoch::NONE, SimTime(2_500))
             .unwrap_err(),
         ReadRejection::DuplicateKey(Key::from_u32(1))
     );
     // No sections at all is not a response.
     assert_eq!(
-        verifier
-            .verify_assembled::<TestHeader>(
-                &p.keys,
-                ClusterId(0),
-                &[],
-                &keys,
-                Epoch::NONE,
-                SimTime(2_500)
-            )
+        p.verify_sections(&[], &keys, Epoch::NONE, SimTime(2_500))
             .unwrap_err(),
         ReadRejection::EmptyAssembly
     );
@@ -691,8 +656,137 @@ fn replay_respects_freshness_floor_and_gc() {
         "fragments of the evicted batch 0 must be dropped"
     );
     // Fresh enough: replays.
-    assert!(replay.replay(&keys, Epoch::NONE, SimTime(1_500)).is_some());
+    assert!(matches!(
+        replay.assemble(&keys, Epoch::NONE, SimTime(1_500)),
+        Assembly::Full(_)
+    ));
     // Cached bundle older than the floor: pass upstream instead of
     // serving something the client would reject as stale.
-    assert!(replay.replay(&keys, Epoch::NONE, SimTime(2_001)).is_none());
+    assert!(matches!(
+        replay.assemble(&keys, Epoch::NONE, SimTime(2_001)),
+        Assembly::Miss
+    ));
+}
+
+/// Verify `response` as the answer to `query` at the usual test clock,
+/// keeping the receipt on both outcomes.
+fn verify_receipted(
+    p: &Partition,
+    query: &ReadQuery,
+    response: &ReadResponse<TestHeader>,
+) -> Result<Accepted, Rejected> {
+    p.verifier()
+        .verify_query(&p.keys, ClusterId(0), query, response, SimTime(2_500))
+}
+
+fn receipt(sig_checks: u64, sig_checks_reused: u64, leaf_hashes: u64) -> VerifyReceipt {
+    VerifyReceipt {
+        sig_checks,
+        sig_checks_reused,
+        leaf_hashes,
+    }
+}
+
+/// Receipts count what the verifier did on honest responses of every
+/// shape: one certificate (f+1 signatures) per distinct commitment, and
+/// one leaf hash per proven key or proven window bucket.
+#[test]
+fn receipts_count_the_work_of_honest_responses() {
+    let p = two_batch_partition();
+    let mut pipeline = ReadPipeline::new(1024);
+    let quorum = p.topo.certificate_quorum() as u64;
+    let keys = request_keys();
+    let query = ReadQuery::point(keys.clone());
+
+    // A single-section point read: one certificate, one leaf per key.
+    let single = ReadResponse::Point {
+        sections: vec![p.bundle(&mut pipeline, &keys, BatchNum(1))],
+        fresh: None,
+    };
+    let accepted = verify_receipted(&p, &query, &single).expect("honest point read");
+    assert_eq!(accepted.receipt, receipt(quorum, 0, 3));
+
+    // A two-section partial assembly at one batch: the second section's
+    // content-identical commitment reuses the first one's certificate.
+    let assembled = ReadResponse::Point {
+        sections: vec![
+            p.bundle(&mut pipeline, &keys[..2], BatchNum(1)),
+            p.bundle(&mut pipeline, &keys[2..], BatchNum(1)),
+        ],
+        fresh: None,
+    };
+    let accepted = verify_receipted(&p, &query, &assembled).expect("honest assembly");
+    assert_eq!(accepted.receipt, receipt(quorum, quorum, 3));
+
+    // A superset multiproof: every proven key is hashed, requested or not.
+    let mut proven = vec![
+        Key::from_u32(1),
+        Key::from_u32(2),
+        Key::from_u32(7),
+        Key::from_u32(9),
+    ];
+    proven.sort();
+    let multi = ReadResponse::Multi {
+        bundle: Box::new(MultiProofBundle {
+            commitment: p.headers[1].clone(),
+            cert: p.certs[1].clone(),
+            body: pipeline.serve_multi(&p, &proven, BatchNum(1)),
+        }),
+        fresh: None,
+    };
+    let subset = ReadQuery::point(vec![Key::from_u32(1), Key::from_u32(2)]);
+    let accepted = verify_receipted(&p, &subset, &multi).expect("honest superset multiproof");
+    assert_eq!(accepted.receipt, receipt(quorum, 0, 4));
+
+    // A covering scan window: the whole proven window is hashed, not
+    // just the requested buckets.
+    let proven_window = ScanRange::new(0, 15);
+    let scan = ReadResponse::Scan {
+        bundle: Box::new(ScanBundle {
+            commitment: p.headers[1].clone(),
+            cert: p.certs[1].clone(),
+            scan: scan_snapshot(&p, &proven_window, BatchNum(1)),
+        }),
+    };
+    let narrow = ReadQuery::scan(ClusterId(0), ScanRange::new(4, 7));
+    let accepted = verify_receipted(&p, &narrow, &scan).expect("honest covering window");
+    assert_eq!(accepted.receipt, receipt(quorum, 0, 16));
+}
+
+/// Rejections report the work spent before the failing check.
+#[test]
+fn receipts_count_the_work_before_a_rejection() {
+    let p = two_batch_partition();
+    let mut pipeline = ReadPipeline::new(1024);
+    let quorum = p.topo.certificate_quorum() as u64;
+    let keys = request_keys();
+    let query = ReadQuery::point(keys.clone());
+
+    // A certificate below quorum: its one signature is checked, and no
+    // proof is hashed under a commitment that never chained.
+    let mut thin = p.bundle(&mut pipeline, &keys, BatchNum(1));
+    thin.cert.sigs.truncate(p.topo.certificate_quorum() - 1);
+    let response = ReadResponse::Point {
+        sections: vec![thin],
+        fresh: None,
+    };
+    let rejected = verify_receipted(&p, &query, &response).expect_err("thin certificate");
+    assert_eq!(rejected.rejection, ReadRejection::BadCertificate);
+    assert_eq!(rejected.receipt, receipt(quorum - 1, 0, 0));
+
+    // A tampered value in the second section: the first section's
+    // certificate and proof were checked, the second section reused
+    // the certificate and hashed the proof that failed.
+    let mut fill = p.bundle(&mut pipeline, &keys[1..], BatchNum(1));
+    fill.reads[0].value = Some(Value::from("forged"));
+    let response = ReadResponse::Point {
+        sections: vec![p.bundle(&mut pipeline, &keys[..1], BatchNum(1)), fill],
+        fresh: None,
+    };
+    let rejected = verify_receipted(&p, &query, &response).expect_err("tampered second section");
+    assert_eq!(
+        rejected.rejection,
+        ReadRejection::ValueMismatch(Key::from_u32(2))
+    );
+    assert_eq!(rejected.receipt, receipt(quorum, quorum, 2));
 }

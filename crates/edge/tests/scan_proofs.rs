@@ -1,4 +1,4 @@
-//! Property tests for `ReadVerifier::verify_scan`: across random
+//! Property tests for `ReadVerifier::verify_query` on range scans: across random
 //! partition contents and random windows, *no* single-row omission,
 //! boundary truncation, or cross-batch splice of an otherwise-valid
 //! range proof survives verification — and the honest scan always
@@ -17,8 +17,8 @@ use transedge_crypto::{
     sha256, Digest, KeyStore, MerkleProof, RangeProof, ScanRange, Sha256, VersionedMerkleTree,
 };
 use transedge_edge::{
-    scan_snapshot, BatchCommitment, ReadRejection, ReadVerifier, ScanBundle, SnapshotSource,
-    VerifyParams,
+    scan_snapshot, BatchCommitment, QueryAnswer, ReadQuery, ReadRejection, ReadResponse,
+    ReadVerifier, ScanBundle, SnapshotSource, VerifyParams,
 };
 use transedge_storage::VersionedStore;
 
@@ -175,14 +175,32 @@ impl Partition {
         bundle: &ScanBundle<TestHeader>,
         requested: &ScanRange,
     ) -> Result<Vec<(Key, Value)>, ReadRejection> {
-        self.verifier().verify_scan(
-            &self.keys,
-            ClusterId(0),
-            bundle,
-            requested,
-            Epoch::NONE,
-            SimTime(2_500),
-        )
+        self.verify_at(bundle, requested, ClusterId(0), SimTime(2_500))
+    }
+
+    /// `bundle` as the answer to a one-window scan of `requested` on
+    /// `cluster`, verified at `now`.
+    fn verify_at(
+        &self,
+        bundle: &ScanBundle<TestHeader>,
+        requested: &ScanRange,
+        cluster: ClusterId,
+        now: SimTime,
+    ) -> Result<Vec<(Key, Value)>, ReadRejection> {
+        let response = ReadResponse::Scan {
+            bundle: Box::new(bundle.clone()),
+        };
+        let query = ReadQuery::scan(cluster, *requested);
+        match self
+            .verifier()
+            .verify_query(&self.keys, cluster, &query, &response, now)
+        {
+            Ok(accepted) => match accepted.answer {
+                QueryAnswer::Rows { rows, next: None } => Ok(rows),
+                other => panic!("a one-window scan must yield its rows, got {other:?}"),
+            },
+            Err(rejected) => Err(rejected.rejection),
+        }
     }
 }
 
@@ -332,24 +350,15 @@ fn scan_rejection_classes_are_typed() {
     assert_eq!(p.verify(&b, &range), Err(ReadRejection::BadCertificate));
 
     // Stale timestamp outside the freshness window.
-    let late = p.verifier().verify_scan(
-        &p.keys,
-        ClusterId(0),
+    let late = p.verify_at(
         &honest,
         &range,
-        Epoch::NONE,
+        ClusterId(0),
         SimTime(SimDuration::from_secs(40).as_micros()),
     );
     assert_eq!(late, Err(ReadRejection::StaleTimestamp));
 
     // Wrong partition.
-    let wrong = p.verifier().verify_scan(
-        &p.keys,
-        ClusterId(1),
-        &honest,
-        &range,
-        Epoch::NONE,
-        SimTime(2_500),
-    );
+    let wrong = p.verify_at(&honest, &range, ClusterId(1), SimTime(2_500));
     assert!(matches!(wrong, Err(ReadRejection::WrongCluster { .. })));
 }

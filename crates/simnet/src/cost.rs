@@ -3,12 +3,14 @@
 //! In a discrete-event simulation, messages cost nothing to *process*
 //! unless the model says otherwise — and then every throughput curve
 //! would be flat. Actors therefore charge simulated CPU time for the
-//! work they do. The table below is calibrated against this
-//! workspace's own criterion micro-benches (`crates/bench`, targets
-//! `micro_crypto` and `micro_merkle`) on a commodity x86-64 host, in
-//! the same spirit as the paper's Xeon Gold 6240R testbed. Absolute
-//! values shift throughput curves up or down; the *relative* costs are
-//! what give the evaluation figures their shape.
+//! work they do. The nine constants below are hand-typed, not derived
+//! from a measurement; they sit in the range of this workspace's own
+//! per-layer timings — the `micro` criterion bench (`cargo bench -p
+//! transedge-bench --bench micro`) and the benchmark's `crypto.*_us`
+//! per-layer metrics (`perfbench --trace 1`) — on a commodity x86-64
+//! host, in the same spirit as the paper's Xeon Gold 6240R testbed.
+//! Absolute values shift throughput curves up or down; the *relative*
+//! costs are what give the evaluation figures their shape.
 
 use transedge_common::SimDuration;
 
